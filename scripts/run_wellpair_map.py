@@ -7,9 +7,9 @@ results/wellpair_map.csv.
 
 import argparse
 import pathlib
+from dataclasses import replace
 
 from ptwells import (
-    IntegratorConfig,
     MomentumBranch,
     SystemParams,
     initial_momentum,
@@ -17,6 +17,7 @@ from ptwells import (
     measure_tunneling,
     tunnel_well_pair,
 )
+from ptwells.cli import run_preset
 
 CASES = [(0.1, 2), (0.1, 3), (0.1, 4), (0.1, 5), (1.0, 2), (1.0, 3), (1.0, 4), (1.0, 5)]
 
@@ -33,12 +34,7 @@ def main() -> None:
         fh.write("zeta,M,n_left,n_right,tau\n")
         for zeta, m in CASES:
             params = SystemParams(zeta, m)
-            cfg = IntegratorConfig(
-                t_max=args.t_max,
-                energy_drift_limit=1e-3,
-                escape_radius=12.0,
-                max_steps=10_000_000,
-            )
+            cfg = replace(run_preset(1 + 1j), t_max=args.t_max)
             p0 = initial_momentum(0j, 1 + 1j, MomentumBranch.PRINCIPAL, params)
             traj = integrate(0j, p0, cfg, params)
             left, right = tunnel_well_pair(traj)

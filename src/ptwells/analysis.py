@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -56,8 +55,15 @@ __all__ = [
     "self_intersections",
 ]
 
-CROSSING_REFINE_TOL = 1e-9
 DEFAULT_RECURRENCE_TOL = 1e-4
+
+# Boundary-probe preset: see closed_orbit_boundary for the loose guard.
+PROBE_CONFIG = IntegratorConfig(
+    t_max=15.0,
+    escape_radius=25.0,
+    escape_y_span=2.0 * math.pi,
+    energy_drift_limit=0.05,
+)
 
 
 class CrossingDirection(enum.Enum):
@@ -131,12 +137,12 @@ def _interp_at(traj: Trajectory, i: int, j: int, t: float) -> tuple[complex, com
 
 
 def detect_axis_crossings(traj: Trajectory) -> list[CrossingEvent]:
-    """All sign changes of Re z, refined on the linear interpolant.
+    """All sign changes of Re z, located on the linear interpolant.
 
-    Crossing times are bisected to |Re z| <= 1e-9 on the interpolant; the
-    direction comes from the sign of Re(dz/dt) = 2 Re p at the crossing.
-    Samples landing exactly on the axis are bridged by the surrounding
-    nonzero-sign samples.
+    A crossing time is the root of the interpolant of Re z between the
+    two samples of opposite sign; the direction comes from the sign of
+    Re(dz/dt) = 2 Re p there.  Samples landing exactly on the axis are
+    bridged by the surrounding nonzero-sign samples.
     """
     if len(traj) == 0:
         raise DomainError("empty trajectory")
@@ -152,24 +158,7 @@ def detect_axis_crossings(traj: Trajectory) -> list[CrossingEvent]:
         i, j = int(nz[f]), int(nz[f + 1])
         ti, tj = float(traj.t[i]), float(traj.t[j])
         xi, xj = float(x[i]), float(x[j])
-        slope = 0.0 if tj == ti else (xj - xi) / (tj - ti)
-
-        def x_interp(t: float) -> float:
-            return xi + slope * (t - ti)
-
-        # bisection on the linear interpolant of Re z over the segment
-        ta, tb = ti, tj
-        sign_a = xi > 0
-        for _ in range(80):
-            tm = 0.5 * (ta + tb)
-            xm = x_interp(tm)
-            if abs(xm) <= CROSSING_REFINE_TOL or (tb - ta) <= 4.0 * np.finfo(float).eps * max(1.0, abs(tm)):
-                break
-            if (xm > 0) == sign_a:
-                ta = tm
-            else:
-                tb = tm
-        t_star = 0.5 * (ta + tb)
+        t_star = ti - xi * (tj - ti) / (xj - xi)
         z_star, p_star = _interp_at(traj, i, j, t_star)
         re_v = 2.0 * p_star.real
         if re_v != 0.0:
@@ -249,7 +238,6 @@ def measure_tunneling(traj: Trajectory, crossings: Sequence[CrossingEvent] | Non
     )
 
 
-VOTE_CYCLES = 1
 ANCHOR_RADIUS = 0.35
 
 
@@ -298,38 +286,32 @@ def anchor_episodes(traj: Trajectory, radius: float = ANCHOR_RADIUS) -> list[tup
 
 
 def _vote_wells(traj: Trajectory) -> tuple[WellIndex, WellIndex]:
-    """Majority well per side over the first VOTE_CYCLES visit episodes.
+    """The (left, right) wells of the first visit episode on each side.
 
     The first visits identify the pair the orbit initially oscillates
     between; over long runs the anchors migrate to neighboring lattice
-    cells, which the windowed vote deliberately ignores.  The episode
-    that holds sample 0 is where the orbit starts, not a visit, and does
-    not vote: an orbit launched from a well center may leave that well
-    for good.
+    cells, which the first visits deliberately ignore.  The episode that
+    holds sample 0 is where the orbit starts, not a visit: an orbit
+    launched from a well center may leave that well for good.
     """
     episodes = anchor_episodes(traj)
     if episodes and nearest_well(complex(traj.z[0]), traj.params)[1] < ANCHOR_RADIUS:
         episodes = episodes[1:]
-    votes: dict[Side, Counter] = {Side.LEFT: Counter(), Side.RIGHT: Counter()}
+    first: dict[Side, WellIndex] = {}
     for well, _, _ in episodes:
-        if sum(votes[well.side].values()) < VOTE_CYCLES:
-            votes[well.side][well] += 1
-
-    def winner(side: Side) -> WellIndex:
-        counter = votes[side]
-        if not counter:
+        first.setdefault(well.side, well)
+    for side in (Side.LEFT, Side.RIGHT):
+        if side not in first:
             raise InsufficientCrossingsError(f"the orbit never settles at a {side.value}-side well")
-        return min(counter, key=lambda w: (-counter[w], abs(w.n), w.side is Side.LEFT))
-
-    return winner(Side.LEFT), winner(Side.RIGHT)
+    return first[Side.LEFT], first[Side.RIGHT]
 
 
 def tunnel_well_pair(traj: Trajectory) -> tuple[WellIndex, WellIndex]:
     """The (left, right) wells a tunneling orbit oscillates between.
 
     Wells are identified by the orbit's closest-approach episodes (the
-    spiral cores pass within ~0.1 of their center), voting over the first
-    visits per side.  A start inside a well's anchor radius is not a
+    spiral cores pass within ~0.1 of their center), taking the first
+    visit per side.  A start inside a well's anchor radius is not a
     visit to that well: the orbit from the center of left well -2 at
     zeta=0.1, M=3, E=1+i oscillates between -1 and +19 and never returns
     to -2.  The deepest |Re z| sample of a dwell is deliberately
@@ -429,7 +411,7 @@ def closed_orbit_boundary(
     idx: WellIndex,
     energy_real: float,
     params: SystemParams,
-    cfg: IntegratorConfig | None = None,
+    cfg: IntegratorConfig = PROBE_CONFIG,
     direction: int = 1,
     bracket: tuple[float, float] = (0.30, 0.80),
     width_tol: float = 1e-4,
@@ -452,13 +434,6 @@ def closed_orbit_boundary(
     """
     if direction not in (-1, 1):
         raise DomainError(f"direction must be +1 or -1, got {direction!r}")
-    if cfg is None:
-        cfg = IntegratorConfig(
-            t_max=15.0,
-            escape_radius=25.0,
-            escape_y_span=2.0 * math.pi,
-            energy_drift_limit=0.05,
-        )
     center = well_center(idx, params)
     drifts: list[tuple[float, float]] = []
 

@@ -4,6 +4,9 @@ Subcommands: ``simulate``, ``sweep-e2``, ``threshold``, ``wells``,
 ``spectrum``.  Complex numbers on the command line use the literal form
 ``a+bi`` with decimal reals (e.g. ``1+1i``, ``0.8``, ``-2.5i``).  A JSON
 config file (``--config``) may supply any flag value; explicit flags win.
+Each subcommand starts from one integrator preset (``run_preset`` for
+``simulate`` and each ``sweep-e2`` row, ``analysis.PROBE_CONFIG`` for
+``threshold``); the integrator flags and config keys override its fields.
 
 Exit codes: 0 success, 1 usage or config error, 2 numerical failure,
 3 ambiguous classification.
@@ -23,6 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .analysis import (
+    PROBE_CONFIG,
     OrbitClass,
     OrbitKind,
     classify_orbit,
@@ -51,7 +55,7 @@ from .integrator import (
 from .spectrum import pt_phase, qes_levels
 from .wells import Side, WellIndex, well_center
 
-__all__ = ["main", "RunConfig", "parse_complex", "cmd_simulate", "cmd_sweep_e2", "cmd_threshold"]
+__all__ = ["main", "RunConfig", "parse_complex", "run_preset", "cmd_simulate", "cmd_sweep_e2", "cmd_threshold"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -68,6 +72,18 @@ TMAX_FLOOR = 200.0
 # for the deepest whips); the relaxed guard still catches real blow-ups.
 TUNNELING_DRIFT_LIMIT = 1e-3
 TUNNELING_ESCAPE_RADIUS = 12.0
+
+# IntegratorConfig fields that a flag or a config key may override, with their types
+INTEGRATOR_FIELDS = {
+    "dt_init": float,
+    "rel_tol": float,
+    "abs_tol": float,
+    "t_max": float,
+    "max_steps": int,
+    "energy_drift_limit": float,
+    "escape_radius": float,
+}
+
 
 def parse_complex(text: str) -> complex:
     """Parse ``a+bi`` literals: '1+1i', '0.8', '-2.5i', '3.2e-1-0.4i'."""
@@ -141,6 +157,17 @@ def default_t_max(energy: complex) -> float:
     if energy.imag == 0:
         return TMAX_FLOOR
     return max(TMAX_FLOOR, 40.0 * TAU_SCALE / abs(energy.imag))
+
+
+def run_preset(energy: complex) -> IntegratorConfig:
+    """Integrator preset of a run: bounded at real energy, tunneling otherwise.
+
+    (The third preset, for boundary probes, is ``analysis.PROBE_CONFIG``.)
+    """
+    cfg = IntegratorConfig(t_max=default_t_max(energy), max_steps=10_000_000)
+    if energy.imag == 0:
+        return cfg
+    return replace(cfg, energy_drift_limit=TUNNELING_DRIFT_LIMIT, escape_radius=TUNNELING_ESCAPE_RADIUS)
 
 
 def _well_label(idx: WellIndex) -> dict:
@@ -273,7 +300,7 @@ def _sweep_row(args: tuple) -> dict:
             energy=complex(e1, e2),
             start="origin",
             branch=MomentumBranch.PRINCIPAL,
-            integrator=cfg if cfg is not None else sweep_integrator_config(e2),
+            integrator=cfg,
         )
         summary = run_simulation(config)
         row["max_drift"] = summary["max_drift"]
@@ -292,29 +319,25 @@ def _sweep_row(args: tuple) -> dict:
     return row
 
 
-def sweep_integrator_config(e2: float) -> IntegratorConfig:
-    return IntegratorConfig(
-        t_max=default_t_max(complex(0.0, e2)),
-        energy_drift_limit=TUNNELING_DRIFT_LIMIT,
-        escape_radius=TUNNELING_ESCAPE_RADIUS,
-        max_steps=10_000_000,
-    )
-
-
 def cmd_sweep_e2(
     params: SystemParams,
     e1: float,
     e2_list: list[float],
-    cfg: IntegratorConfig | None = None,
+    overrides: dict | None = None,
     out_path: str | None = None,
     workers: int | None = None,
 ) -> list[dict]:
-    """Run one tunneling measurement per E2, concurrently, in input order."""
+    """Run one tunneling measurement per E2, concurrently, in input order.
+
+    Each row integrates with its own ``run_preset`` with the
+    IntegratorConfig fields in ``overrides`` replaced.
+    """
     if not e2_list:
         raise DomainError("empty E2 list")
     if not (all(e2 > 0 for e2 in e2_list) or all(e2 < 0 for e2 in e2_list)):
         raise DomainError("E2 values must all have the same sign")
-    jobs = [(params.zeta, params.m_int, e1, e2, cfg) for e2 in e2_list]
+    overrides = overrides or {}
+    jobs = [(params.zeta, params.m_int, e1, e2, replace(run_preset(complex(e1, e2)), **overrides)) for e2 in e2_list]
     if workers is None:
         workers = min(len(jobs), os.cpu_count() or 1)
     if workers <= 1 or len(jobs) == 1:
@@ -347,7 +370,7 @@ def cmd_threshold(
     direction: int = 1,
     bracket: tuple[float, float] = (0.30, 0.80),
     width_tol: float = 1e-4,
-    cfg: IntegratorConfig | None = None,
+    cfg: IntegratorConfig = PROBE_CONFIG,
 ) -> dict:
     res = closed_orbit_boundary(
         idx, energy_real, params, cfg=cfg, direction=direction, bracket=bracket, width_tol=width_tol
@@ -408,30 +431,19 @@ def _pick(flag_value, file_config: dict, key: str, default):
     return default
 
 
-def _build_integrator(args, file_config: dict, energy: complex) -> IntegratorConfig:
-    tunneling = energy.imag != 0
-    base = IntegratorConfig(
-        t_max=default_t_max(energy),
-        energy_drift_limit=TUNNELING_DRIFT_LIMIT if tunneling else 1e-8,
-        escape_radius=TUNNELING_ESCAPE_RADIUS if tunneling else 8.0,
-        max_steps=10_000_000,
-    )
+def _integrator_overrides(args, file_config: dict) -> dict:
+    """IntegratorConfig fields set by a flag or, failing that, by a config key."""
     overrides = {}
-    for key in ("dt_init", "rel_tol", "abs_tol", "t_max", "max_steps", "energy_drift_limit", "escape_radius"):
-        v = _pick(getattr(args, key, None), file_config, key, None)
+    for key, kind in INTEGRATOR_FIELDS.items():
+        v = _pick(getattr(args, key), file_config, key, None)
         if v is not None:
-            overrides[key] = type(getattr(base, key))(v)
-    return replace(base, **overrides) if overrides else base
+            overrides[key] = kind(v)
+    return overrides
 
 
 def _add_integrator_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dt-init", dest="dt_init", type=float)
-    p.add_argument("--rel-tol", dest="rel_tol", type=float)
-    p.add_argument("--abs-tol", dest="abs_tol", type=float)
-    p.add_argument("--t-max", dest="t_max", type=float)
-    p.add_argument("--max-steps", dest="max_steps", type=int)
-    p.add_argument("--energy-drift-limit", dest="energy_drift_limit", type=float)
-    p.add_argument("--escape-radius", dest="escape_radius", type=float)
+    for key, kind in INTEGRATOR_FIELDS.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -517,7 +529,7 @@ def _dispatch(args) -> int:
             energy=energy,
             start=str(_pick(args.start, file_config, "start", "origin")),
             branch=MomentumBranch(_pick(args.branch, file_config, "branch", "principal")),
-            integrator=_build_integrator(args, file_config, energy),
+            integrator=replace(run_preset(energy), **_integrator_overrides(args, file_config)),
             trajectory_path=_pick(args.trajectory_out, file_config, "trajectory_out", None),
             events_path=_pick(args.events_out, file_config, "events_out", None),
             summary_path=_pick(args.summary_out, file_config, "summary_out", None),
@@ -537,10 +549,9 @@ def _dispatch(args) -> int:
         else:
             e2_list = [float(v) for v in e2_raw]
         params = SystemParams(float(zeta), int(m))
-        cfg = None
-        if any(getattr(args, k, None) is not None for k in ("dt_init", "rel_tol", "abs_tol", "t_max", "max_steps", "energy_drift_limit", "escape_radius")):
-            cfg = _build_integrator(args, file_config, complex(float(e1), e2_list[0]))
-        rows = cmd_sweep_e2(params, float(e1), e2_list, cfg=cfg, out_path=_pick(args.out, file_config, "out", None), workers=args.workers)
+        overrides = _integrator_overrides(args, file_config)
+        out_path = _pick(args.out, file_config, "out", None)
+        rows = cmd_sweep_e2(params, float(e1), e2_list, overrides, out_path, workers=args.workers)
         failed = [r for r in rows if r["error"]]
         for r in rows:
             tau = "" if r["tau"] is None else f"{r['tau']:.6g}"
@@ -558,9 +569,6 @@ def _dispatch(args) -> int:
             raise DomainError("threshold needs --zeta, --M and --e (flags or config file)")
         bracket_raw = _pick(args.bracket, file_config, "bracket", "0.30,0.80")
         lo_s, hi_s = str(bracket_raw).split(",")
-        cfg = None
-        if any(getattr(args, k, None) is not None for k in ("dt_init", "rel_tol", "abs_tol", "t_max", "max_steps", "energy_drift_limit", "escape_radius")):
-            cfg = _build_integrator(args, file_config, complex(float(e_v)))
         result = cmd_threshold(
             SystemParams(float(zeta), int(m)),
             float(e_v),
@@ -568,7 +576,7 @@ def _dispatch(args) -> int:
             direction=int(_pick(args.direction, file_config, "direction", 1)),
             bracket=(float(lo_s), float(hi_s)),
             width_tol=float(_pick(args.width, file_config, "width", 1e-4)),
-            cfg=cfg,
+            cfg=replace(PROBE_CONFIG, **_integrator_overrides(args, file_config)),
         )
         print(json.dumps(result))
         return EXIT_OK

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,7 @@ from ptwells import (
     integrate,
     well_center,
 )
-
-# Tunneling orbits whip through steep regions where the drift measurement
-# saturates near the double-precision floor; experiment runs use the same
-# relaxed guard as the CLI drivers.
-TUNNELING_CFG = dict(energy_drift_limit=1e-3, escape_radius=12.0, max_steps=10_000_000)
+from ptwells.cli import run_preset
 
 
 @pytest.fixture(scope="session")
@@ -36,8 +34,7 @@ def fig_closed(params_main):
 def fig_tunneling(params_main):
     """Tunneling orbit: E = 1 + i from the origin (oscillates between n = -/+10)."""
     p0 = initial_momentum(0j, 1 + 1j, MomentumBranch.PRINCIPAL, params_main)
-    cfg = IntegratorConfig(t_max=150.0, **TUNNELING_CFG)
-    return integrate(0j, p0, cfg, params_main)
+    return integrate(0j, p0, replace(run_preset(1 + 1j), t_max=150.0), params_main)
 
 
 @pytest.fixture()

@@ -35,6 +35,7 @@ import json
 import math
 import pathlib
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,7 +64,8 @@ from ptwells import (
     tunnel_well_pair,
     well_center,
 )
-from ptwells.cli import RunConfig, cmd_sweep_e2, run_simulation, sweep_integrator_config
+from ptwells.analysis import PROBE_CONFIG
+from ptwells.cli import RunConfig, cmd_sweep_e2, run_preset, run_simulation
 from ptwells.spectrum import ZETA_C_M3
 
 P_MAIN = SystemParams(0.1, 3)
@@ -106,8 +108,6 @@ ARBITRATION = pathlib.Path(__file__).parent / "data" / "arbitration.json"
 # separatrix plunges to the same floor on every loop.
 DRIFT_FLOOR_FACTOR = 4.0 / math.sqrt(12.0) + 1.0
 
-MAP_CFG = dict(energy_drift_limit=1e-3, escape_radius=12.0, max_steps=10_000_000)
-
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
     line = f"ACCEPTANCE {num} [{name}]: {'PASS' if ok else 'FAIL'}"
@@ -137,7 +137,7 @@ def _map_run(zeta: float, m: int) -> Trajectory:
     t_max = 340.0 if zeta < 0.5 else 250.0
     # tight tolerances: at zeta=1 the nested spiral wraps pass within the
     # noise floor of looser runs and pick up spurious polyline crossings
-    cfg = IntegratorConfig(t_max=t_max, rel_tol=1e-12, abs_tol=1e-14, **MAP_CFG)
+    cfg = replace(run_preset(1 + 1j), t_max=t_max, rel_tol=1e-12, abs_tol=1e-14)
     p0 = initial_momentum(0j, 1 + 1j, MomentumBranch.PRINCIPAL, params)
     return integrate(0j, p0, cfg, params)
 
@@ -165,7 +165,7 @@ def arbitration():
 @pytest.fixture(scope="module")
 def shift_run():
     z0 = well_center(WellIndex(Side.LEFT, -2), P_MAIN)
-    cfg = IntegratorConfig(t_max=260.0, **MAP_CFG)
+    cfg = replace(run_preset(1 + 1j), t_max=260.0)
     p0 = initial_momentum(z0, 1 + 1j, MomentumBranch.PRINCIPAL, P_MAIN)
     return integrate(z0, p0, cfg, P_MAIN)
 
@@ -218,7 +218,7 @@ def test_criterion_1_table_reproduction(headline_sweep):
                 energy=complex(1.0, e2),
                 start="origin",
                 branch=MomentumBranch.NEGATED,
-                integrator=sweep_integrator_config(e2),
+                integrator=run_preset(complex(1.0, e2)),
             )
             summary = run_simulation(config)
             tau_neg = summary["tunneling"]["tau"] if summary["tunneling"] else None
@@ -414,7 +414,7 @@ def test_criterion_7_qualitative(map_runs):
 
     plus = spiral_senses(map_runs[(0.1, 3)])
     p0 = initial_momentum(0j, 1 - 1j, MomentumBranch.PRINCIPAL, P_MAIN)
-    minus_run = integrate(0j, p0, IntegratorConfig(t_max=150.0, **MAP_CFG), P_MAIN)
+    minus_run = integrate(0j, p0, replace(run_preset(1 - 1j), t_max=150.0), P_MAIN)
     minus = spiral_senses(minus_run)
     if not plus or not minus:
         problems.append("chirality: no usable spiral windows")
@@ -425,9 +425,7 @@ def test_criterion_7_qualitative(map_runs):
 
     # (d) real energy never classifies as tunneling
     c = well_center(WellIndex(Side.LEFT, 0), P_MAIN)
-    cfg = IntegratorConfig(
-        t_max=30.0, escape_radius=25.0, escape_y_span=2 * math.pi, energy_drift_limit=0.05
-    )
+    cfg = replace(PROBE_CONFIG, t_max=30.0)
     for offset in (0.2, 0.4740, 0.52, 0.54, 0.6):
         z0 = complex(c.real, c.imag + offset)
         p0 = initial_momentum(z0, 0.8 + 0j, MomentumBranch.PRINCIPAL, P_MAIN)

@@ -67,12 +67,15 @@ class TestDetectCrossings:
         assert ev.direction is CrossingDirection.RIGHT_TO_LEFT
 
     def test_refinement_hits_exact_root(self):
-        # Re z = t - 1 sampled coarsely: interpolant root at exactly 1
+        # Re z = s (t - 1) sampled coarsely: interpolant root at exactly 1,
+        # also where the slope is so small that |Re z| stays below 1e-9
+        # over a time span of 1e-3 around the root
         t = np.array([0.0, 0.7, 1.6, 2.0])
-        traj = synthetic_trajectory(t, (t - 1.0) + 0j, p=np.full(4, 0.5 + 0j))
-        (ev,) = detect_axis_crossings(traj)
-        assert abs(ev.t_cross - 1.0) < 1e-9
-        assert ev.direction is CrossingDirection.LEFT_TO_RIGHT
+        for s in (1.0, 1e-6):
+            traj = synthetic_trajectory(t, s * (t - 1.0) + 0j, p=np.full(4, 0.5 * s + 0j))
+            (ev,) = detect_axis_crossings(traj)
+            assert abs(ev.t_cross - 1.0) <= 4 * np.spacing(1.0), s
+            assert ev.direction is CrossingDirection.LEFT_TO_RIGHT
 
     def test_closed_orbit_has_no_crossings(self, fig_closed):
         assert detect_axis_crossings(fig_closed) == []

@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from ptwells import DomainError, IntegratorConfig, SystemParams
+from ptwells import BoundaryResult, DomainError, SystemParams, cli
+from ptwells.analysis import PROBE_CONFIG
 from ptwells.cli import (
     EXIT_AMBIGUOUS,
     EXIT_NUMERICAL,
@@ -149,10 +151,7 @@ class TestSimulateCommand:
 class TestSweepCommand:
     def test_single_row_matches_simulate(self, tmp_path, capsys):
         params = SystemParams(0.1, 3)
-        cfg = IntegratorConfig(
-            t_max=60.0, energy_drift_limit=1e-3, escape_radius=12.0, max_steps=5_000_000
-        )
-        rows = cmd_sweep_e2(params, 1.0, [4.0], cfg=cfg, workers=1)
+        rows = cmd_sweep_e2(params, 1.0, [4.0], {"t_max": 60.0, "max_steps": 5_000_000}, workers=1)
         assert len(rows) == 1
         row = rows[0]
         assert row["error"] == ""
@@ -189,11 +188,52 @@ class TestSweepCommand:
     def test_row_error_recorded(self, tmp_path):
         params = SystemParams(0.1, 3)
         # closed-orbit energy: classify fails to be tunneling, error column set
-        cfg = IntegratorConfig(t_max=5.0, energy_drift_limit=1e-3, escape_radius=12.0)
-        rows = cmd_sweep_e2(params, 1.0, [1.0], cfg=cfg, workers=1)
+        rows = cmd_sweep_e2(params, 1.0, [1.0], {"t_max": 5.0}, workers=1)
         assert len(rows) == 1
         assert rows[0]["tau"] is None
         assert rows[0]["error"] != ""
+
+    def test_each_row_gets_its_own_horizon(self, monkeypatch):
+        # an integrator flag overrides one field of every row's own preset
+        seen = _record_runs(monkeypatch)
+        args = ["sweep-e2", "--zeta", "0.1", "--M", "3", "--e2", "6.7,0.3", "--rel-tol", "1e-10", "--workers", "1"]
+        assert main(args) == EXIT_OK
+        assert [cfg.t_max for cfg in seen] == [200.0, pytest.approx(640.0 / 0.3)]
+
+
+def _record_runs(monkeypatch) -> list:
+    """Replace run_simulation by a stub that records each row's integrator config."""
+    seen = []
+
+    def run(config):
+        seen.append(config.integrator)
+        return {
+            "max_drift": 0.0, "drift_floor_rss": 0.0, "termination": "time_limit",
+            "classification": {"kind": "tunneling", "wells": {"left": {"n": -1}, "right": {"n": 1}}},
+            "tunneling": {"tau": 1.0, "dwell_left": 1.0, "dwell_right": 1.0},
+        }
+
+    monkeypatch.setattr(cli, "run_simulation", run)
+    return seen
+
+
+class TestIntegratorConfigKeys:
+    def test_config_file_reaches_sweep_and_threshold(self, tmp_path, monkeypatch, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"zeta": 0.1, "m": 3, "rel_tol": 1e-12}))
+        seen = _record_runs(monkeypatch)
+        assert main(["sweep-e2", "--config", str(cfg_path), "--e2", "1.0", "--workers", "1"]) == EXIT_OK
+        assert [cfg.rel_tol for cfg in seen] == [1e-12]
+
+        probe_cfgs = []
+
+        def boundary(idx, energy_real, params, cfg, **kwargs):
+            probe_cfgs.append(cfg)
+            return BoundaryResult(0.5, 0.49, 0.51, 2, 0.0, ((0.0, 0.0), (0.0, 0.0)))
+
+        monkeypatch.setattr(cli, "closed_orbit_boundary", boundary)
+        assert main(["threshold", "--config", str(cfg_path), "--e", "0.8"]) == EXIT_OK
+        assert probe_cfgs == [replace(PROBE_CONFIG, rel_tol=1e-12)]
 
 
 class TestThresholdCommand:
@@ -211,8 +251,14 @@ class TestThresholdCommand:
             "threshold", "--zeta", "0.1", "--M", "3", "--e", "0.8",
             "--side", "left", "--n", "0", "--width", "0.1",
         ]
-        assert main(args) == EXIT_OK
-        out = json.loads(capsys.readouterr().out)
+        # --rel-tol 1e-10 is the default: it overrides one field of the
+        # probe preset and therefore changes nothing
+        outputs = []
+        for extra in ([], ["--rel-tol", "1e-10"]):
+            assert main(args + extra) == EXIT_OK
+            outputs.append(json.loads(capsys.readouterr().out))
+        out = outputs[0]
+        assert outputs[1] == out
         assert out["closed_offset"] < out["critical_offset"] < out["open_offset"]
         assert 0.45 <= out["critical_offset"] <= 0.6
         assert out["n_probes"] >= 4
