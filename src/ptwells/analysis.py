@@ -28,6 +28,7 @@ from .integrator import (
     IntegratorConfig,
     MomentumBranch,
     PhaseState,
+    ReturnWatch,
     Termination,
     Trajectory,
     initial_momentum,
@@ -57,12 +58,14 @@ __all__ = [
 
 DEFAULT_RECURRENCE_TOL = 1e-4
 
-# Boundary-probe preset: see closed_orbit_boundary for the loose guard.
+# Boundary-probe preset: see closed_orbit_boundary for the loose guard and
+# the stop at the first return.
 PROBE_CONFIG = IntegratorConfig(
     t_max=15.0,
     escape_radius=25.0,
     escape_y_span=2.0 * math.pi,
     energy_drift_limit=0.05,
+    return_tol=DEFAULT_RECURRENCE_TOL,
 )
 
 
@@ -330,40 +333,17 @@ def tunnel_well_pair(traj: Trajectory) -> tuple[WellIndex, WellIndex]:
 def _recurrence(traj: Trajectory, recur_tol: float) -> float | None:
     """First return time to within recur_tol of the initial phase point.
 
-    Distances are Euclidean over (z, p) as a 4-real-vector; the minimum is
-    taken over the linear interpolant of each sample segment, so closed
-    orbits register even when no sample lands near the start.  Returns the
-    period, 0.0 for a trajectory that never leaves the tolerance ball, or
-    None when there is no recurrence.
+    The return is the one ``ReturnWatch`` finds, interpolated linearly
+    along its segment.  Returns the period, 0.0 for a trajectory that never
+    leaves the ball about its start, or None when there is no recurrence.
     """
-    dz = traj.z - traj.z[0]
-    dp = traj.p - traj.p[0]
-    d = np.sqrt(np.abs(dz) ** 2 + np.abs(dp) ** 2)
-    leave = max(100.0 * recur_tol, 1e-3)
-    outside = np.nonzero(d > leave)[0]
-    if len(outside) == 0:
-        return 0.0
-    i0 = int(outside[0])
-    if i0 + 1 >= len(traj):
-        return None
-
-    # closest approach of each segment [k, k+1] (k >= i0) to the start point
-    ax, bx = dz[i0:-1], dz[i0 + 1 :]
-    ap, bp = dp[i0:-1], dp[i0 + 1 :]
-    ux, up = bx - ax, bp - ap
-    uu = np.abs(ux) ** 2 + np.abs(up) ** 2
-    au = (ax.real * ux.real + ax.imag * ux.imag) + (ap.real * up.real + ap.imag * up.imag)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        s = np.clip(np.where(uu > 0, -au / uu, 0.0), 0.0, 1.0)
-    cx = ax + s * ux
-    cp = ap + s * up
-    dmin = np.sqrt(np.abs(cx) ** 2 + np.abs(cp) ** 2)
-    hits = np.nonzero(dmin <= recur_tol)[0]
-    if len(hits) == 0:
-        return None
-    k = int(hits[0])
-    t0, t1 = traj.t[i0 + k], traj.t[i0 + k + 1]
-    return float(t0 + s[k] * (t1 - t0))
+    z, p, t = traj.z.tolist(), traj.p.tolist(), traj.t.tolist()
+    watch = ReturnWatch(z[0], p[0], recur_tol)
+    for k in range(1, len(t)):
+        s = watch.step(z[k], p[k])
+        if s is not None:
+            return t[k - 1] + s * (t[k] - t[k - 1])
+    return None if watch.left else 0.0
 
 
 def classify_orbit(traj: Trajectory, recur_tol: float = DEFAULT_RECURRENCE_TOL) -> OrbitClass:
@@ -423,14 +403,18 @@ def closed_orbit_boundary(
     closed orbit and the upper an escape, otherwise a BracketingError
     reports both classifications.
 
-    Probe orbits discriminate closed from open by boundedness: open orbits
-    march down the well column (|Im z| grows without bound at nearly fixed
-    Re z), while closed ones stay within a cell of their start for the
-    whole horizon.  Near the critical offset both kinds plunge deep into
-    the steep outer region before deciding, which leaves the energy check
-    at its conditioning floor there; the probe guard is therefore loose,
-    and the plunge noise limits the trustworthy bisection width to ~1e-5,
-    well inside the default width tolerance.
+    A probe ends as soon as its class is decided: closed when the orbit
+    returns to its start phase point (``Termination.RETURNED``, within
+    ``DEFAULT_RECURRENCE_TOL`` under the probe preset) or stays within a
+    cell of its start up to t_max, open when it escapes down the well
+    column (|Im z| grows without bound at nearly fixed Re z).  The period
+    of a closed orbit is a contour integral of the holomorphic flow, the
+    same for every offset (0.5482 at zeta=0.1, M=3, E=0.8), so a closed
+    probe ends after one loop.  Integrating on would only repeat it, and
+    near the critical offset each loop plunges into the steep outer
+    region, where the energy check sits at its conditioning floor; drift
+    accumulated over many loops can turn a closed orbit into an escape.
+    Open probes still plunge before they escape, so the guard is loose.
     """
     if direction not in (-1, 1):
         raise DomainError(f"direction must be +1 or -1, got {direction!r}")
@@ -446,7 +430,7 @@ def closed_orbit_boundary(
             drifts.append((traj.max_drift, traj.drift_floor_rss))
             if traj.termination is Termination.ESCAPED:
                 return OrbitKind.OPEN_ESCAPE
-            if traj.termination is Termination.TIME_LIMIT:
+            if traj.termination in (Termination.RETURNED, Termination.TIME_LIMIT):
                 return OrbitKind.CLOSED
             # drift or step budget: retry with a looser guard and budget
             local = replace(

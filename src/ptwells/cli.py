@@ -4,6 +4,8 @@ Subcommands: ``simulate``, ``sweep-e2``, ``threshold``, ``wells``,
 ``spectrum``.  Complex numbers on the command line use the literal form
 ``a+bi`` with decimal reals (e.g. ``1+1i``, ``0.8``, ``-2.5i``).  A JSON
 config file (``--config``) may supply any flag value; explicit flags win.
+Its keys are the flag names with underscores for hyphens and ``m`` for
+``--M`` (``rel_tol``, ``summary_out``); an unknown key is a config error.
 Each subcommand starts from one integrator preset (``run_preset`` for
 ``simulate`` and each ``sweep-e2`` row, ``analysis.PROBE_CONFIG`` for
 ``threshold``); the integrator flags and config keys override its fields.
@@ -319,6 +321,13 @@ def _sweep_row(args: tuple) -> dict:
     return row
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_sweep_e2(
     params: SystemParams,
     e1: float,
@@ -330,7 +339,8 @@ def cmd_sweep_e2(
     """Run one tunneling measurement per E2, concurrently, in input order.
 
     Each row integrates with its own ``run_preset`` with the
-    IntegratorConfig fields in ``overrides`` replaced.
+    IntegratorConfig fields in ``overrides`` replaced.  ``workers``
+    defaults to one per row, at most one per CPU the process may run on.
     """
     if not e2_list:
         raise DomainError("empty E2 list")
@@ -339,7 +349,7 @@ def cmd_sweep_e2(
     overrides = overrides or {}
     jobs = [(params.zeta, params.m_int, e1, e2, replace(run_preset(complex(e1, e2)), **overrides)) for e2 in e2_list]
     if workers is None:
-        workers = min(len(jobs), os.cpu_count() or 1)
+        workers = min(len(jobs), _usable_cpus())
     if workers <= 1 or len(jobs) == 1:
         rows = [_sweep_row(job) for job in jobs]
     else:
@@ -410,7 +420,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _load_file_config(path: str | None) -> dict:
+def _load_file_config(path: str | None, keys: set[str]) -> dict:
+    """The JSON object in ``path``; every key must be one of ``keys``."""
     if not path:
         return {}
     try:
@@ -420,6 +431,11 @@ def _load_file_config(path: str | None) -> dict:
         raise DomainError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(data, dict):
         raise DomainError(f"config {path!r} must hold a JSON object")
+    unknown = sorted(set(data) - keys)
+    if unknown:
+        raise DomainError(
+            f"config {path!r}: unknown key(s) {', '.join(map(repr, unknown))}; known: {', '.join(sorted(keys))}"
+        )
     return data
 
 
@@ -454,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sim.add_argument("--config", help="JSON file with flag defaults")
     p_sim.add_argument("--zeta", type=float)
     p_sim.add_argument("--M", dest="m", type=int)
-    p_sim.add_argument("--e", dest="energy", help="complex energy, e.g. 1+1i")
+    p_sim.add_argument("--e", help="complex energy, e.g. 1+1i")
     p_sim.add_argument("--start", help="origin | well:<side>,<n> | point:<re>,<im>")
     p_sim.add_argument("--branch", choices=[b.value for b in MomentumBranch])
     p_sim.add_argument("--trajectory-out", dest="trajectory_out")
@@ -467,7 +483,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument("--zeta", type=float)
     p_sweep.add_argument("--M", dest="m", type=int)
     p_sweep.add_argument("--e1", type=float)
-    p_sweep.add_argument("--e2", dest="e2_list", help="comma-separated E2 values")
+    p_sweep.add_argument("--e2", help="comma-separated E2 values")
     p_sweep.add_argument("--out", help="sweep CSV path")
     p_sweep.add_argument("--workers", type=int)
     _add_integrator_flags(p_sweep)
@@ -476,7 +492,7 @@ def main(argv: list[str] | None = None) -> int:
     p_thr.add_argument("--config", help="JSON file with flag defaults")
     p_thr.add_argument("--zeta", type=float)
     p_thr.add_argument("--M", dest="m", type=int)
-    p_thr.add_argument("--e", dest="energy", type=float, help="real energy")
+    p_thr.add_argument("--e", type=float, help="real energy")
     p_thr.add_argument("--side", choices=[s.value for s in Side])
     p_thr.add_argument("--n", type=int)
     p_thr.add_argument("--direction", type=int, choices=[1, -1])
@@ -499,7 +515,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        return _dispatch(args)
+        return _dispatch(args, _config_keys(sub.choices[args.command]))
     except (DomainError, UnsupportedOrderError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -514,12 +530,17 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERICAL
 
 
-def _dispatch(args) -> int:
+def _config_keys(p: argparse.ArgumentParser) -> set[str]:
+    """Config-file keys of a subcommand: the destinations of its flags."""
+    return {a.dest for a in p._actions if a.dest not in ("help", "config")}
+
+
+def _dispatch(args, config_keys: set[str]) -> int:
     if args.command == "simulate":
-        file_config = _load_file_config(args.config)
+        file_config = _load_file_config(args.config, config_keys)
         zeta = _pick(args.zeta, file_config, "zeta", None)
         m = _pick(args.m, file_config, "m", None)
-        e_raw = _pick(args.energy, file_config, "e", None)
+        e_raw = _pick(args.e, file_config, "e", None)
         if zeta is None or m is None or e_raw is None:
             raise DomainError("simulate needs --zeta, --M and --e (flags or config file)")
         energy = parse_complex(str(e_raw))
@@ -537,11 +558,11 @@ def _dispatch(args) -> int:
         return cmd_simulate(config)
 
     if args.command == "sweep-e2":
-        file_config = _load_file_config(args.config)
+        file_config = _load_file_config(args.config, config_keys)
         zeta = _pick(args.zeta, file_config, "zeta", None)
         m = _pick(args.m, file_config, "m", None)
         e1 = _pick(args.e1, file_config, "e1", 1.0)
-        e2_raw = _pick(args.e2_list, file_config, "e2", None)
+        e2_raw = _pick(args.e2, file_config, "e2", None)
         if zeta is None or m is None or e2_raw is None:
             raise DomainError("sweep-e2 needs --zeta, --M and --e2 (flags or config file)")
         if isinstance(e2_raw, str):
@@ -551,7 +572,10 @@ def _dispatch(args) -> int:
         params = SystemParams(float(zeta), int(m))
         overrides = _integrator_overrides(args, file_config)
         out_path = _pick(args.out, file_config, "out", None)
-        rows = cmd_sweep_e2(params, float(e1), e2_list, overrides, out_path, workers=args.workers)
+        workers = _pick(args.workers, file_config, "workers", None)
+        rows = cmd_sweep_e2(
+            params, float(e1), e2_list, overrides, out_path, workers=None if workers is None else int(workers)
+        )
         failed = [r for r in rows if r["error"]]
         for r in rows:
             tau = "" if r["tau"] is None else f"{r['tau']:.6g}"
@@ -559,10 +583,10 @@ def _dispatch(args) -> int:
         return EXIT_NUMERICAL if len(failed) == len(rows) else EXIT_OK
 
     if args.command == "threshold":
-        file_config = _load_file_config(args.config)
+        file_config = _load_file_config(args.config, config_keys)
         zeta = _pick(args.zeta, file_config, "zeta", None)
         m = _pick(args.m, file_config, "m", None)
-        e_v = _pick(args.energy, file_config, "e", None)
+        e_v = _pick(args.e, file_config, "e", None)
         side = _pick(args.side, file_config, "side", "left")
         n = _pick(args.n, file_config, "n", 0)
         if zeta is None or m is None or e_v is None:

@@ -48,6 +48,7 @@ __all__ = [
     "Termination",
     "PhaseState",
     "IntegratorConfig",
+    "ReturnWatch",
     "Trajectory",
     "initial_momentum",
     "derivative",
@@ -65,6 +66,7 @@ class Termination(enum.Enum):
     STEP_LIMIT = "step_limit"
     ESCAPED = "escaped"
     DRIFT_EXCEEDED = "drift_exceeded"
+    RETURNED = "returned"
 
 
 @dataclass(frozen=True)
@@ -89,6 +91,9 @@ class IntegratorConfig:
     # as ESCAPED (open orbits at real energy flee down the well column
     # with bounded Re z); infinite by default
     escape_y_span: float = math.inf
+    # end at the first return within this distance of the start phase point
+    # (see ReturnWatch); None integrates on to t_max
+    return_tol: float | None = None
 
     def __post_init__(self) -> None:
         for name in ("dt_init", "rel_tol", "abs_tol", "t_max", "energy_drift_limit", "escape_radius"):
@@ -99,6 +104,8 @@ class IntegratorConfig:
             raise DomainError(f"escape_y_span must be > 0, got {self.escape_y_span!r}")
         if self.max_steps < 1:
             raise DomainError(f"max_steps must be >= 1, got {self.max_steps!r}")
+        if self.return_tol is not None and not (math.isfinite(self.return_tol) and self.return_tol > 0):
+            raise DomainError(f"return_tol must be None or finite and > 0, got {self.return_tol!r}")
 
 
 @dataclass
@@ -170,6 +177,46 @@ def derivative(state: PhaseState, params: SystemParams) -> tuple[complex, comple
     return dz, dp
 
 
+class ReturnWatch:
+    """The first return of a sample sequence to its start phase point.
+
+    Distances are Euclidean over (z, p) as a 4-real-vector.  A return is
+    the first segment between consecutive samples whose closest approach
+    to the start lies within ``tol``, counted only once a sample has left
+    the ball of radius max(100 tol, 1e-3) about the start.  Taking the
+    minimum over each segment registers the return even when no sample
+    lands near the start.  ``integrate`` feeds it each kept sample online
+    and ``analysis.classify_orbit`` replays a finished trajectory through
+    it, so both find the same return.
+    """
+
+    def __init__(self, z0: complex, p0: complex, tol: float) -> None:
+        self.z0, self.p0 = z0, p0
+        self.tol = tol
+        self.leave_sq = max(100.0 * tol, 1e-3) ** 2
+        self.left = False
+        self.az, self.ap = 0j, 0j  # offset of the previous sample from the start
+
+    def step(self, z: complex, p: complex) -> float | None:
+        """Take the next sample; the fraction along the segment from the
+        previous sample at which the orbit returns, or None."""
+        az, ap = self.az, self.ap
+        bz, bp = z - self.z0, p - self.p0
+        self.az, self.ap = bz, bp
+        if not self.left:
+            self.left = _norm_sq(bz, bp) > self.leave_sq
+            return None
+        uz, up = bz - az, bp - ap
+        uu = _norm_sq(uz, up)
+        au = az.real * uz.real + az.imag * uz.imag + ap.real * up.real + ap.imag * up.imag
+        s = min(1.0, max(0.0, -au / uu)) if uu > 0 else 0.0
+        return s if math.sqrt(_norm_sq(az + s * uz, ap + s * up)) <= self.tol else None
+
+
+def _norm_sq(z: complex, p: complex) -> float:
+    return z.real * z.real + z.imag * z.imag + p.real * p.real + p.imag * p.imag
+
+
 # Dormand-Prince 5(4) tableau (FSAL: the 7th stage is the next step's first).
 _A21 = 1 / 5
 _A31, _A32 = 3 / 40, 9 / 40
@@ -228,7 +275,8 @@ def integrate(
     config: IntegratorConfig,
     params: SystemParams,
 ) -> Trajectory:
-    """Integrate from (z0, p0) until t_max, escape, step budget, or drift."""
+    """Integrate from (z0, p0) until t_max, escape, step budget, drift, or
+    (with ``config.return_tol``) the first return to the start."""
     try:
         e0 = hamiltonian(z0, p0, params)
     except NonFiniteStateError as exc:
@@ -252,6 +300,7 @@ def integrate(
     buf = _Buf()
     t, z, p = 0.0, complex(z0), complex(p0)
     buf.push(t, z, p, 0.0)
+    watch = None if config.return_tol is None else ReturnWatch(z, p, config.return_tol)
 
     k1z, k1p, _ = rhs(z, p)
     h = min(config.dt_init, t_max)
@@ -329,6 +378,9 @@ def integrate(
                 termination = Termination.DRIFT_EXCEEDED
                 break
             buf.push(t, z, p, drift)
+            if watch is not None and watch.step(z, p) is not None:
+                termination = Termination.RETURNED
+                break
             if last_step:
                 termination = Termination.TIME_LIMIT
                 break

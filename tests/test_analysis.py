@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from ptwells import (
     tunnel_well_pair,
     well_center,
 )
+from ptwells.analysis import PROBE_CONFIG
 
 P = SystemParams(0.1, 3)
 
@@ -218,6 +220,45 @@ class TestWellPair:
         # all complete visits spiral deep into their well's core
         for _, _, d in episodes[:-1]:
             assert d < 0.2
+
+
+def _probe_start(offset: float) -> tuple[complex, complex]:
+    """Start `offset` above left well n=0 at E = 0.8, principal branch."""
+    c = well_center(WellIndex(Side.LEFT, 0), P)
+    z0 = complex(c.real, c.imag + offset)
+    return z0, initial_momentum(z0, 0.8 + 0j, MomentumBranch.PRINCIPAL, P)
+
+
+class TestReturnStop:
+    def test_probe_near_boundary_stops_at_first_return(self):
+        # integrated on, this closed start picks up drift 2.45e-3 on later
+        # loops and escapes at t = 4.39
+        traj = integrate(*_probe_start(0.529736328125), PROBE_CONFIG, P)
+        assert traj.termination is Termination.RETURNED
+        assert traj.t[-1] < 0.6
+        assert classify_orbit(traj).kind is OrbitKind.CLOSED
+
+    @pytest.mark.parametrize("offset", [0.2, 0.4740, 0.52, 0.54, 0.6])
+    def test_period_is_the_last_segment_return(self, offset):
+        traj = integrate(*_probe_start(offset), replace(PROBE_CONFIG, t_max=30.0), P)
+        if offset > 0.535:
+            assert traj.termination is Termination.ESCAPED
+            return
+        assert traj.termination is Termination.RETURNED
+        oc = classify_orbit(traj)
+        assert oc.kind is OrbitKind.CLOSED
+        # closest approach of the last segment to the start, in (z, p) as R^4
+        a = np.array([traj.z[-2] - traj.z[0], traj.p[-2] - traj.p[0]])
+        u = np.array([traj.z[-1] - traj.z[-2], traj.p[-1] - traj.p[-2]])
+        s = min(1.0, max(0.0, -np.vdot(u, a).real / np.vdot(u, u).real))
+        assert np.linalg.norm(a + s * u) <= PROBE_CONFIG.return_tol
+        assert oc.period == pytest.approx(traj.t[-2] + s * (traj.t[-1] - traj.t[-2]), rel=1e-12, abs=0)
+
+    def test_no_return_tol_integrates_on(self):
+        traj = integrate(*_probe_start(0.2), replace(PROBE_CONFIG, return_tol=None), P)
+        assert traj.termination is Termination.TIME_LIMIT
+        assert traj.t[-1] == PROBE_CONFIG.t_max
+        assert classify_orbit(traj).kind is OrbitKind.CLOSED
 
 
 class TestBoundary:

@@ -236,6 +236,56 @@ class TestIntegratorConfigKeys:
         assert probe_cfgs == [replace(PROBE_CONFIG, rel_tol=1e-12)]
 
 
+class TestConfigFile:
+    def test_workers_key_reaches_the_sweep(self, tmp_path, monkeypatch, capsys):
+        seen = []
+
+        def sweep(params, e1, e2_list, overrides=None, out_path=None, workers=None):
+            seen.append(workers)
+            return [{"e2": e2, "tau": 1.0, "error": ""} for e2 in e2_list]
+
+        monkeypatch.setattr(cli, "cmd_sweep_e2", sweep)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"zeta": 0.1, "m": 3, "e2": "1.0", "workers": 1}))
+        assert main(["sweep-e2", "--config", str(cfg_path)]) == EXIT_OK
+        assert main(["sweep-e2", "--config", str(cfg_path), "--workers", "2"]) == EXIT_OK
+        assert seen == [1, 2]
+
+    @pytest.mark.parametrize(
+        "command,keys",
+        [
+            ("simulate", {"e": "0.8", "start": CLOSED_START}),
+            ("sweep-e2", {"e2": "1.0", "workers": 1}),
+            ("threshold", {"e": 0.8}),
+        ],
+    )
+    def test_unknown_key_is_a_config_error(self, command, keys, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            pytest.fail("the run went ahead despite an unknown config key")
+
+        monkeypatch.setattr(cli, "run_simulation", never)
+        monkeypatch.setattr(cli, "closed_orbit_boundary", never)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"zeta": 0.1, "m": 3, "rel-tol": 1e-12, **keys}))
+        assert main([command, "--config", str(cfg_path)]) == EXIT_USAGE
+        assert "'rel-tol'" in capsys.readouterr().err
+
+
+class TestPoolSizing:
+    def test_one_usable_cpu_runs_in_process(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+
+        def no_pool(*args, **kwargs):
+            pytest.fail("a process pool was started with one usable CPU")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        seen = _record_runs(monkeypatch)
+        rows = cmd_sweep_e2(SystemParams(0.1, 3), 1.0, [6.7, 3.2])
+        assert [r["e2"] for r in rows] == [6.7, 3.2]
+        assert len(seen) == 2
+
+
 class TestThresholdCommand:
     def test_bracket_failure_exit(self, capsys):
         args = [
