@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -58,12 +58,16 @@ __all__ = [
 
 DEFAULT_RECURRENCE_TOL = 1e-4
 
-# Boundary-probe preset: see closed_orbit_boundary for the loose guard and
-# the stop at the first return.
+# Default start-offset bracket and bisection width of a boundary search.
+BOUNDARY_BRACKET = (0.30, 0.80)
+BOUNDARY_WIDTH = 1e-4
+
+# Boundary-probe preset: see closed_orbit_boundary for the two stops, at
+# the first return and at the exit from the start's cell.
 PROBE_CONFIG = IntegratorConfig(
     t_max=15.0,
     escape_radius=25.0,
-    escape_y_span=2.0 * math.pi,
+    escape_y_span=0.5 * math.pi,
     energy_drift_limit=0.05,
     return_tol=DEFAULT_RECURRENCE_TOL,
 )
@@ -330,15 +334,15 @@ def tunnel_well_pair(traj: Trajectory) -> tuple[WellIndex, WellIndex]:
     return _vote_wells(traj)
 
 
-def _recurrence(traj: Trajectory, recur_tol: float) -> float | None:
-    """First return time to within recur_tol of the initial phase point.
+def _recurrence(traj: Trajectory) -> float | None:
+    """First return time to within DEFAULT_RECURRENCE_TOL of the start.
 
     The return is the one ``ReturnWatch`` finds, interpolated linearly
     along its segment.  Returns the period, 0.0 for a trajectory that never
     leaves the ball about its start, or None when there is no recurrence.
     """
     z, p, t = traj.z.tolist(), traj.p.tolist(), traj.t.tolist()
-    watch = ReturnWatch(z[0], p[0], recur_tol)
+    watch = ReturnWatch(z[0], p[0], DEFAULT_RECURRENCE_TOL)
     for k in range(1, len(t)):
         s = watch.step(z[k], p[k])
         if s is not None:
@@ -346,26 +350,27 @@ def _recurrence(traj: Trajectory, recur_tol: float) -> float | None:
     return None if watch.left else 0.0
 
 
-def classify_orbit(traj: Trajectory, recur_tol: float = DEFAULT_RECURRENCE_TOL) -> OrbitClass:
+def classify_orbit(traj: Trajectory) -> OrbitClass:
     """Closed, open-escape, or tunneling; anything else raises.
 
-    Closed: the phase point returns within recur_tol of its start (in the
-    combined (z, p) Euclidean norm) with no axis crossing.  Open escape:
-    the run ended at the escape radius with at most one crossing.
-    Tunneling: at least three alternating crossings on a run that was not
-    an escape; drift- or step-terminated runs classify on their retained
-    (certified) samples.
+    Closed: the phase point returns within DEFAULT_RECURRENCE_TOL of its
+    start (in the combined (z, p) Euclidean norm) with no axis crossing,
+    on a run that did not escape.  Open escape: the run escaped with at
+    most one crossing.  Tunneling: at least three alternating crossings on
+    a run that did not escape; drift- or step-terminated runs classify on
+    their retained (certified) samples.
     """
     crossings = detect_axis_crossings(traj)
-    if not crossings:
-        period = _recurrence(traj, recur_tol)
-        if period is not None and traj.termination is not Termination.ESCAPED:
-            anchor, _ = nearest_well(complex(np.mean(traj.z)), traj.params)
-            return OrbitClass(kind=OrbitKind.CLOSED, period=period, anchor=anchor)
-    if traj.termination is Termination.ESCAPED and len(crossings) <= 1:
+    escaped = traj.termination is Termination.ESCAPED
+    if escaped and len(crossings) <= 1:
         side = Side.RIGHT if traj.z[-1].real > 0 else Side.LEFT
         return OrbitClass(kind=OrbitKind.OPEN_ESCAPE, escape_side=side)
-    if len(crossings) >= 3 and traj.termination is not Termination.ESCAPED:
+    if not crossings and not escaped:
+        period = _recurrence(traj)
+        if period is not None:
+            anchor, _ = nearest_well(complex(np.mean(traj.z)), traj.params)
+            return OrbitClass(kind=OrbitKind.CLOSED, period=period, anchor=anchor)
+    if len(crossings) >= 3 and not escaped:
         left, right = _vote_wells(traj)
         return OrbitClass(kind=OrbitKind.TUNNELING, wells=(left, right))
     raise AmbiguousOrbitError(
@@ -383,7 +388,7 @@ class BoundaryResult:
     open_offset: float
     n_probes: int
     max_probe_drift: float
-    # (max_drift, drift_floor_rss) of every probe integration, retries included
+    # (max_drift, drift_floor_rss) of every probe integration
     probe_drifts: tuple[tuple[float, float], ...]
 
 
@@ -393,8 +398,8 @@ def closed_orbit_boundary(
     params: SystemParams,
     cfg: IntegratorConfig = PROBE_CONFIG,
     direction: int = 1,
-    bracket: tuple[float, float] = (0.30, 0.80),
-    width_tol: float = 1e-4,
+    bracket: tuple[float, float] = BOUNDARY_BRACKET,
+    width_tol: float = BOUNDARY_WIDTH,
 ) -> BoundaryResult:
     """Bisect the critical y-offset from a well center at real energy.
 
@@ -403,18 +408,17 @@ def closed_orbit_boundary(
     closed orbit and the upper an escape, otherwise a BracketingError
     reports both classifications.
 
-    A probe ends as soon as its class is decided: closed when the orbit
-    returns to its start phase point (``Termination.RETURNED``, within
-    ``DEFAULT_RECURRENCE_TOL`` under the probe preset) or stays within a
-    cell of its start up to t_max, open when it escapes down the well
-    column (|Im z| grows without bound at nearly fixed Re z).  The period
-    of a closed orbit is a contour integral of the holomorphic flow, the
-    same for every offset (0.5482 at zeta=0.1, M=3, E=0.8), so a closed
-    probe ends after one loop.  Integrating on would only repeat it, and
-    near the critical offset each loop plunges into the steep outer
-    region, where the energy check sits at its conditioning floor; drift
-    accumulated over many loops can turn a closed orbit into an escape.
-    Open probes still plunge before they escape, so the guard is loose.
+    Each offset is integrated once; under the probe preset its class is
+    the first of two events.  Closed: the orbit returns to its start phase
+    point (``Termination.RETURNED``) or stays in its cell up to t_max.
+    Open: Im z moves half a lattice period (pi/2) from the start, out of
+    the cell (``Termination.ESCAPED``).  Every closed orbit has the same
+    period, a contour integral of the holomorphic flow (0.5482 at
+    zeta=0.1, M=3, E=0.8), and stays within 1.31 of its start in Im z,
+    even next to the separatrix; an open one passes pi/2 on its first whip
+    down the well column (t ~ 0.4-0.5), before the steep outer region can
+    spoil its energy check.  A probe that ends by drift or step budget has
+    no class and raises AmbiguousOrbitError.
     """
     if direction not in (-1, 1):
         raise DomainError(f"direction must be +1 or -1, got {direction!r}")
@@ -424,22 +428,15 @@ def closed_orbit_boundary(
     def probe(offset: float) -> OrbitKind:
         z0 = complex(center.real, center.imag + direction * offset)
         p0 = initial_momentum(z0, complex(energy_real), MomentumBranch.PRINCIPAL, params)
-        local = cfg
-        for _ in range(4):
-            traj = integrate(z0, p0, local, params)
-            drifts.append((traj.max_drift, traj.drift_floor_rss))
-            if traj.termination is Termination.ESCAPED:
-                return OrbitKind.OPEN_ESCAPE
-            if traj.termination in (Termination.RETURNED, Termination.TIME_LIMIT):
-                return OrbitKind.CLOSED
-            # drift or step budget: retry with a looser guard and budget
-            local = replace(
-                local,
-                energy_drift_limit=min(1.0, 10.0 * local.energy_drift_limit),
-                max_steps=2 * local.max_steps,
-            )
+        traj = integrate(z0, p0, cfg, params)
+        drifts.append((traj.max_drift, traj.drift_floor_rss))
+        if traj.termination is Termination.ESCAPED:
+            return OrbitKind.OPEN_ESCAPE
+        if traj.termination in (Termination.RETURNED, Termination.TIME_LIMIT):
+            return OrbitKind.CLOSED
         raise AmbiguousOrbitError(
-            f"probe at offset {offset!r} kept ending by {traj.termination.value}"
+            f"probe at offset {offset!r} ended by {traj.termination.value} "
+            f"at t={float(traj.t[-1])!r} with drift {traj.max_drift!r}"
         )
 
     lo, hi = bracket
@@ -451,13 +448,10 @@ def closed_orbit_boundary(
         )
     while hi - lo > width_tol:
         mid = 0.5 * (lo + hi)
-        kind = probe(mid)
-        if kind is OrbitKind.CLOSED:
+        if probe(mid) is OrbitKind.CLOSED:
             lo = mid
-        elif kind is OrbitKind.OPEN_ESCAPE:
-            hi = mid
         else:
-            raise AmbiguousOrbitError(f"mid-bracket probe at offset {mid!r} classified {kind.value}")
+            hi = mid
     return BoundaryResult(
         offset=0.5 * (lo + hi),
         closed_offset=lo,

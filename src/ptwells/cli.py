@@ -28,6 +28,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .analysis import (
+    BOUNDARY_BRACKET,
+    BOUNDARY_WIDTH,
     PROBE_CONFIG,
     OrbitClass,
     OrbitKind,
@@ -378,8 +380,8 @@ def cmd_threshold(
     energy_real: float,
     idx: WellIndex,
     direction: int = 1,
-    bracket: tuple[float, float] = (0.30, 0.80),
-    width_tol: float = 1e-4,
+    bracket: tuple[float, float] = BOUNDARY_BRACKET,
+    width_tol: float = BOUNDARY_WIDTH,
     cfg: IntegratorConfig = PROBE_CONFIG,
 ) -> dict:
     res = closed_orbit_boundary(
@@ -496,8 +498,8 @@ def main(argv: list[str] | None = None) -> int:
     p_thr.add_argument("--side", choices=[s.value for s in Side])
     p_thr.add_argument("--n", type=int)
     p_thr.add_argument("--direction", type=int, choices=[1, -1])
-    p_thr.add_argument("--bracket", help="lo,hi start offsets (default 0.30,0.80)")
-    p_thr.add_argument("--width", type=float, help="bisection width tolerance (default 1e-4)")
+    p_thr.add_argument("--bracket", help="lo,hi start offsets (default %s,%s)" % BOUNDARY_BRACKET)
+    p_thr.add_argument("--width", type=float, help=f"bisection width tolerance (default {BOUNDARY_WIDTH})")
     _add_integrator_flags(p_thr)
 
     p_wells = sub.add_parser("wells", help="well lattice table as CSV")
@@ -591,15 +593,15 @@ def _dispatch(args, config_keys: set[str]) -> int:
         n = _pick(args.n, file_config, "n", 0)
         if zeta is None or m is None or e_v is None:
             raise DomainError("threshold needs --zeta, --M and --e (flags or config file)")
-        bracket_raw = _pick(args.bracket, file_config, "bracket", "0.30,0.80")
-        lo_s, hi_s = str(bracket_raw).split(",")
+        bracket_raw = _pick(args.bracket, file_config, "bracket", None)
+        lo_s, hi_s = BOUNDARY_BRACKET if bracket_raw is None else str(bracket_raw).split(",")
         result = cmd_threshold(
             SystemParams(float(zeta), int(m)),
             float(e_v),
             WellIndex(Side(side), int(n)),
             direction=int(_pick(args.direction, file_config, "direction", 1)),
             bracket=(float(lo_s), float(hi_s)),
-            width_tol=float(_pick(args.width, file_config, "width", 1e-4)),
+            width_tol=float(_pick(args.width, file_config, "width", BOUNDARY_WIDTH)),
             cfg=replace(PROBE_CONFIG, **_integrator_overrides(args, file_config)),
         )
         print(json.dumps(result))

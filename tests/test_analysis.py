@@ -35,6 +35,7 @@ from ptwells import (
     tunnel_well_pair,
     well_center,
 )
+from ptwells import analysis
 from ptwells.analysis import PROBE_CONFIG
 
 P = SystemParams(0.1, 3)
@@ -238,6 +239,14 @@ class TestReturnStop:
         assert traj.t[-1] < 0.6
         assert classify_orbit(traj).kind is OrbitKind.CLOSED
 
+    def test_probe_past_boundary_stops_at_cell_exit(self):
+        # this open start never returns; with a 2 pi span it ran to t_max
+        # (t = 15, drift 0.016) and read as closed
+        traj = integrate(*_probe_start(0.52979736328125), PROBE_CONFIG, P)
+        assert traj.termination is Termination.ESCAPED
+        assert traj.t[-1] < 0.5
+        assert abs(traj.z[-1].imag - traj.z[0].imag) > 0.5 * math.pi
+
     @pytest.mark.parametrize("offset", [0.2, 0.4740, 0.52, 0.54, 0.6])
     def test_period_is_the_last_segment_return(self, offset):
         traj = integrate(*_probe_start(offset), replace(PROBE_CONFIG, t_max=30.0), P)
@@ -277,6 +286,21 @@ class TestBoundary:
     def test_direction_validation(self):
         with pytest.raises(DomainError):
             closed_orbit_boundary(WellIndex(Side.LEFT, 0), 0.8, P, direction=2)
+
+    def test_probe_ending_by_drift_raises_at_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return integrate(*args)
+
+        monkeypatch.setattr(analysis, "integrate", counted)
+        cfg = replace(PROBE_CONFIG, energy_drift_limit=1e-13)
+        with pytest.raises(AmbiguousOrbitError) as exc_info:
+            closed_orbit_boundary(WellIndex(Side.LEFT, 0), 0.8, P, cfg=cfg)
+        msg = str(exc_info.value)
+        assert "offset 0.3 " in msg and "drift_exceeded" in msg
+        assert len(calls) == 1
 
 
 class TestChirality:
