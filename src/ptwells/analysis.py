@@ -436,7 +436,7 @@ def closed_orbit_boundary(
             return OrbitKind.CLOSED
         raise AmbiguousOrbitError(
             f"probe at offset {offset!r} ended by {traj.termination.value} "
-            f"at t={float(traj.t[-1])!r} with drift {traj.max_drift!r}"
+            f"at t={float(traj.t[-1])!r}, kept drift up to {traj.max_drift!r}"
         )
 
     lo, hi = bracket
