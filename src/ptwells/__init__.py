@@ -19,6 +19,7 @@ from .analysis import (
     dwell_segments,
     measure_tunneling,
     self_intersections,
+    separatrix_offset,
     spiral_chirality,
     spiral_windows,
     tunnel_well_pair,

@@ -8,6 +8,7 @@ The tunneling time is the mean of the two per-side dwell means.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import SystemParams
+from .dynamics import SystemParams, chart_flow
 from .errors import (
     AmbiguousOrbitError,
     BracketingError,
@@ -31,6 +32,7 @@ from .integrator import (
     ReturnWatch,
     Termination,
     Trajectory,
+    dp5_step,
     initial_momentum,
     integrate,
 )
@@ -51,6 +53,7 @@ __all__ = [
     "tunnel_well_pair",
     "classify_orbit",
     "closed_orbit_boundary",
+    "separatrix_offset",
     "spiral_chirality",
     "spiral_windows",
     "self_intersections",
@@ -58,9 +61,12 @@ __all__ = [
 
 DEFAULT_RECURRENCE_TOL = 1e-4
 
-# Default start-offset bracket and bisection width of a boundary search.
+# Default bracket the separatrix must lie in, and the two probes' spread.
 BOUNDARY_BRACKET = (0.30, 0.80)
 BOUNDARY_WIDTH = 1e-4
+
+# separatrix_offset's DP5 tolerances (~1e-14 off a 30-digit leaf) and step budget
+_LEAF_RTOL, _LEAF_ATOL, _LEAF_MAX_STEPS = 1e-13, 1e-15, 10_000
 
 # Boundary-probe preset: see closed_orbit_boundary for the two stops, at
 # the first return and at the exit from the start's cell.
@@ -392,6 +398,40 @@ class BoundaryResult:
     probe_drifts: tuple[tuple[float, float], ...]
 
 
+def separatrix_offset(params: SystemParams, energy_real: float) -> float:
+    """The closed-orbit boundary: the start offset of the separatrix, the leaf
+    from s = 0 (Re z = -inf) with s' = +2 zeta in the chart s = e^{2z}, at its
+    first crossing of |s| = r_w = e^{-asinh(M/zeta)} (Re z = x_w).  Every left
+    well maps to s = -i r_w, and s -> -conj(s) maps the leaf onto the one with
+    s' = -2 zeta, so the offset (arg s + pi/2)/2 holds for every well and both
+    directions.
+    """
+    f = chart_flow(params, complex(energy_real))
+    r_w = math.exp(-math.asinh(params.m_int / params.zeta))
+    y = np.array([0j, 2.0 * params.zeta])
+    k1 = f(y)
+    h = 1e-3
+    for _ in range(_LEAF_MAX_STEPS):
+        yn, k7, e = dp5_step(f, y, k1, h)
+        err = math.sqrt(np.mean((np.abs(e) / (_LEAF_ATOL + _LEAF_RTOL * np.maximum(abs(y), abs(yn)))) ** 2))
+        if err > 1.0:
+            h *= max(0.2, 0.9 * err**-0.2)
+            continue
+        w, v = yn
+        if abs(w) >= r_w:
+            for _ in range(8):  # Newton on the step length; d|s|/dh = Re(conj(s) s') / |s|
+                h -= (abs(w) - r_w) * abs(w) / (w.conjugate() * v).real
+                w, v = dp5_step(f, y, k1, h)[0]
+            if abs(abs(w) - r_w) <= 1e-14 * r_w:
+                return 0.5 * (cmath.phase(w) + 0.5 * math.pi)
+            break
+        y, k1 = yn, k7
+        h *= min(5.0, 0.9 * err**-0.2) if err > 0 else 5.0
+    raise AmbiguousOrbitError(
+        f"the separatrix leaf did not land on |s| = r_w within {_LEAF_MAX_STEPS} steps ({params}, E={energy_real!r})"
+    )
+
+
 def closed_orbit_boundary(
     idx: WellIndex,
     energy_real: float,
@@ -401,59 +441,46 @@ def closed_orbit_boundary(
     bracket: tuple[float, float] = BOUNDARY_BRACKET,
     width_tol: float = BOUNDARY_WIDTH,
 ) -> BoundaryResult:
-    """Bisect the critical y-offset from a well center at real energy.
+    """The critical y-offset from a well center at real energy,
+    :func:`separatrix_offset`, confirmed by two probes.
 
-    The start point keeps Re z at the well's x; only the imaginary offset
-    (signed by ``direction``) varies.  The lower bracket offset must give a
-    closed orbit and the upper an escape, otherwise a BracketingError
-    reports both classifications.
-
-    Each offset is integrated once; under the probe preset its class is
-    the first of two events.  Closed: the orbit returns to its start phase
-    point (``Termination.RETURNED``) or stays in its cell up to t_max.
-    Open: Im z moves half a lattice period (pi/2) from the start, out of
-    the cell (``Termination.ESCAPED``).  Every closed orbit has the same
-    period, a contour integral of the holomorphic flow (0.5482 at
-    zeta=0.1, M=3, E=0.8), and stays within 1.31 of its start in Im z,
-    even next to the separatrix; an open one passes pi/2 on its first whip
-    down the well column (t ~ 0.4-0.5), before the steep outer region can
-    spoil its energy check.  A probe that ends by drift or step budget has
-    no class and raises AmbiguousOrbitError.
+    A separatrix outside ``bracket`` raises BracketingError before any
+    probe.  The probes start at the well's x, width_tol/2 below and above
+    the separatrix in Im z (signed by ``direction``).  The lower must end
+    closed, by its first return (``RETURNED``) or at t_max in its cell; the
+    upper open, leaving its cell (``ESCAPED``: Im z moves pi/2, on its first
+    whip down the well column).  Otherwise a BracketingError reports both;
+    a probe that ends by drift or step budget raises AmbiguousOrbitError.
     """
     if direction not in (-1, 1):
         raise DomainError(f"direction must be +1 or -1, got {direction!r}")
+    sep = separatrix_offset(params, energy_real)
+    if not bracket[0] <= sep <= bracket[1]:
+        raise BracketingError(
+            f"separatrix {sep!r} lies outside bracket {bracket!r}: offsets below it are closed, above it open"
+        )
     center = well_center(idx, params)
+    lo, hi = sep - 0.5 * width_tol, sep + 0.5 * width_tol
+    ends: list[Termination] = []
     drifts: list[tuple[float, float]] = []
-
-    def probe(offset: float) -> OrbitKind:
+    for offset in (lo, hi):
         z0 = complex(center.real, center.imag + direction * offset)
         p0 = initial_momentum(z0, complex(energy_real), MomentumBranch.PRINCIPAL, params)
         traj = integrate(z0, p0, cfg, params)
+        if traj.termination in (Termination.DRIFT_EXCEEDED, Termination.STEP_LIMIT):
+            raise AmbiguousOrbitError(
+                f"probe at offset {offset!r} ended by {traj.termination.value} "
+                f"at t={float(traj.t[-1])!r}, kept drift up to {traj.max_drift!r}"
+            )
+        ends.append(traj.termination)
         drifts.append((traj.max_drift, traj.drift_floor_rss))
-        if traj.termination is Termination.ESCAPED:
-            return OrbitKind.OPEN_ESCAPE
-        if traj.termination in (Termination.RETURNED, Termination.TIME_LIMIT):
-            return OrbitKind.CLOSED
-        raise AmbiguousOrbitError(
-            f"probe at offset {offset!r} ended by {traj.termination.value} "
-            f"at t={float(traj.t[-1])!r}, kept drift up to {traj.max_drift!r}"
-        )
-
-    lo, hi = bracket
-    k_lo, k_hi = probe(lo), probe(hi)
-    if not (k_lo is OrbitKind.CLOSED and k_hi is OrbitKind.OPEN_ESCAPE):
+    if ends[0] is Termination.ESCAPED or ends[1] is not Termination.ESCAPED:
         raise BracketingError(
-            f"bracket does not straddle the boundary: offset {lo!r} -> {k_lo.value}, "
-            f"offset {hi!r} -> {k_hi.value}"
+            f"probes do not confirm the separatrix {sep!r}: offset {lo!r} ended by {ends[0].value}, "
+            f"offset {hi!r} ended by {ends[1].value}"
         )
-    while hi - lo > width_tol:
-        mid = 0.5 * (lo + hi)
-        if probe(mid) is OrbitKind.CLOSED:
-            lo = mid
-        else:
-            hi = mid
     return BoundaryResult(
-        offset=0.5 * (lo + hi),
+        offset=sep,
         closed_offset=lo,
         open_offset=hi,
         n_probes=len(drifts),

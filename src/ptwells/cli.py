@@ -449,6 +449,15 @@ def _pick(flag_value, file_config: dict, key: str, default):
     return default
 
 
+def _float_list(raw, name: str) -> list[float]:
+    """Numbers from a comma-separated string or a JSON list; anything else is a config error."""
+    items = raw.split(",") if isinstance(raw, str) else raw
+    try:
+        return [float(v) for v in items if str(v).strip()]
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"bad {name} {raw!r}: want comma-separated numbers") from exc
+
+
 def _integrator_overrides(args, file_config: dict) -> dict:
     """IntegratorConfig fields set by a flag or, failing that, by a config key."""
     overrides = {}
@@ -498,8 +507,8 @@ def main(argv: list[str] | None = None) -> int:
     p_thr.add_argument("--side", choices=[s.value for s in Side])
     p_thr.add_argument("--n", type=int)
     p_thr.add_argument("--direction", type=int, choices=[1, -1])
-    p_thr.add_argument("--bracket", help="lo,hi start offsets (default %s,%s)" % BOUNDARY_BRACKET)
-    p_thr.add_argument("--width", type=float, help=f"bisection width tolerance (default {BOUNDARY_WIDTH})")
+    p_thr.add_argument("--bracket", help="lo,hi offsets the separatrix must lie in (default %s,%s)" % BOUNDARY_BRACKET)
+    p_thr.add_argument("--width", type=float, help=f"probe spread about the separatrix (default {BOUNDARY_WIDTH})")
     _add_integrator_flags(p_thr)
 
     p_wells = sub.add_parser("wells", help="well lattice table as CSV")
@@ -567,10 +576,7 @@ def _dispatch(args, config_keys: set[str]) -> int:
         e2_raw = _pick(args.e2, file_config, "e2", None)
         if zeta is None or m is None or e2_raw is None:
             raise DomainError("sweep-e2 needs --zeta, --M and --e2 (flags or config file)")
-        if isinstance(e2_raw, str):
-            e2_list = [float(s) for s in e2_raw.split(",") if s.strip()]
-        else:
-            e2_list = [float(v) for v in e2_raw]
+        e2_list = _float_list(e2_raw, "e2")
         params = SystemParams(float(zeta), int(m))
         overrides = _integrator_overrides(args, file_config)
         out_path = _pick(args.out, file_config, "out", None)
@@ -594,13 +600,15 @@ def _dispatch(args, config_keys: set[str]) -> int:
         if zeta is None or m is None or e_v is None:
             raise DomainError("threshold needs --zeta, --M and --e (flags or config file)")
         bracket_raw = _pick(args.bracket, file_config, "bracket", None)
-        lo_s, hi_s = BOUNDARY_BRACKET if bracket_raw is None else str(bracket_raw).split(",")
+        bracket = BOUNDARY_BRACKET if bracket_raw is None else tuple(_float_list(bracket_raw, "bracket"))
+        if len(bracket) != 2:
+            raise DomainError(f"bad bracket {bracket_raw!r}: want lo,hi")
         result = cmd_threshold(
             SystemParams(float(zeta), int(m)),
             float(e_v),
             WellIndex(Side(side), int(n)),
             direction=int(_pick(args.direction, file_config, "direction", 1)),
-            bracket=(float(lo_s), float(hi_s)),
+            bracket=bracket,
             width_tol=float(_pick(args.width, file_config, "width", BOUNDARY_WIDTH)),
             cfg=replace(PROBE_CONFIG, **_integrator_overrides(args, file_config)),
         )

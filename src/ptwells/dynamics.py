@@ -20,6 +20,7 @@ __all__ = [
     "SystemParams",
     "EnergyComponents",
     "flow",
+    "chart_flow",
     "potential",
     "potential_array",
     "potential_gradient",
@@ -90,6 +91,22 @@ def flow(params: SystemParams) -> Callable[[complex, complex], tuple[complex, co
         sy = sin(y2)
         bracket = zeta * complex(chx * cy, shx * sy) - i_m
         return 2.0 * p, 4.0 * zeta * complex(shx * cy, chx * sy) * bracket, bracket
+
+    return rhs
+
+
+def chart_flow(params: SystemParams, energy: complex) -> Callable[[np.ndarray], np.ndarray]:
+    """The flow in the chart s = e^{2z} at energy E: the array (s, s') -> (s', 2 Q'(s)),
+    with s' = 4sp, s'^2 = 4 Q(s) and Q(s) = 4E s^2 + (zeta s^2 - 2iM s + zeta)^2.
+    Re z = -inf is the regular point s = 0; u = e^{-2z} has the same flow.
+    """
+    _require_finite(energy, "energy")
+    zeta = params.zeta
+    i_m = 1j * params.m_int
+
+    def rhs(y: np.ndarray) -> np.ndarray:
+        w, v = y
+        return np.array([v, 16.0 * energy * w + 8.0 * (zeta * w * w - 2.0 * i_m * w + zeta) * (zeta * w - i_m)])
 
     return rhs
 

@@ -52,6 +52,7 @@ __all__ = [
     "Trajectory",
     "initial_momentum",
     "derivative",
+    "dp5_step",
     "integrate",
 ]
 
@@ -112,8 +113,8 @@ class IntegratorConfig:
 class Trajectory:
     """Samples retained at accepted steps, plus the conserved energy.
 
-    Sample arrays are columnar for memory efficiency; ``state(i)`` and
-    ``samples`` provide the record view.  ``drift[i]`` is the relative
+    Sample arrays are columnar for memory efficiency; ``state(i)``
+    provides the record view.  ``drift[i]`` is the relative
     energy deviation |H - E| / max(1, |E|) at sample i, bounded by the
     integration config's ``energy_drift_limit`` for every retained sample.
     ``drift_floor_rss`` is the root sum of squares of the per-step drift
@@ -138,10 +139,6 @@ class Trajectory:
 
     def state(self, i: int) -> PhaseState:
         return PhaseState(float(self.t[i]), complex(self.z[i]), complex(self.p[i]))
-
-    @property
-    def samples(self) -> list[PhaseState]:
-        return [self.state(i) for i in range(len(self.t))]
 
     @property
     def max_drift(self) -> float:
@@ -217,21 +214,31 @@ def _norm_sq(z: complex, p: complex) -> float:
     return z.real * z.real + z.imag * z.imag + p.real * p.real + p.imag * p.imag
 
 
-# Dormand-Prince 5(4) tableau (FSAL: the 7th stage is the next step's first).
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71 / 57600,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
+# Dormand-Prince 5(4) tableau: rows for stages 2-6, the fifth-order weights
+# (the 7th stage is taken there, FSAL) and the error weights of stages 1-7.
+_ROWS = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
+_ERR_ROW = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+(_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54), (_A61, _A62, _A63, _A64, _A65) = _ROWS[:5]
+_B1, _B2, _B3, _B4, _B5, _B6 = _ROWS[5]
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _ERR_ROW
+
+
+def dp5_step(rhs, y: np.ndarray, k1: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One DP5 step of the array ``y`` under ``rhs`` from its slope ``k1``: the
+    new state, its slope and the error estimate (``integrate`` inlines it)."""
+    k = [k1]
+    for row in _ROWS:
+        yn = y + h * sum(a * ki for a, ki in zip(row, k))
+        k.append(rhs(yn))
+    return yn, k[-1], h * sum(e * ki for e, ki in zip(_ERR_ROW, k))
+
 
 _EPS = 2.220446049250313e-16
 _SAFETY = 0.9

@@ -3,13 +3,17 @@
 Run with ``pytest tests/test_acceptance.py -v -s``.  The expensive
 trajectory sets are computed once in module-scoped fixtures and shared.
 
-Four criteria rest on more than the double-precision runs themselves:
+Five criteria rest on more than the double-precision runs themselves:
 
 * criterion 3, the well-pair map: the (zeta=0.1, M=4) orbit from the
   origin visits right +21, then left -20, not the symmetric +/-21.  No
   symmetry forces a symmetric pair: z -> -z maps the principal-branch
   pair (l a, r b) onto the negated-branch pair (l -b, r -a).  The
   reference is the pair of a 25-digit integration;
+* criterion 4, the closed-orbit boundary: every search's offset must lie
+  within 1e-12 of the separatrix, the leaf through Re z = -inf, integrated
+  at 30 digits with mpmath (the ``mp_separatrix`` fixture), and its two
+  probes must bracket it;
 * criterion 5, energy conservation: tunneling and near-separatrix orbits
   pass where no double-precision state has H within 1e-8 of E.  Each
   trajectory, each boundary probe included, is held to 1e-8 plus a fixed
@@ -267,19 +271,25 @@ def test_criterion_3_well_pair_map(map_runs, arbitration):
     report(3, "well-pair map", not mismatches, "; ".join(mismatches) or detail)
 
 
-def test_criterion_4_closed_orbit_boundary(boundary_results):
+def test_criterion_4_closed_orbit_boundary(boundary_results, mp_separatrix):
     n0_up = boundary_results["n0_up"].offset
     n0_down = boundary_results["n0_down"].offset
     n1_up = boundary_results["n1_up"].offset
+    # the separatrix, the leaf through Re z = -inf, at 30 digits
+    sep = mp_separatrix(0.1, 3, 0.8)
     ok = (
         0.525 <= n0_up <= 0.535
         and 0.525 <= n1_up <= 0.535
         and abs(n0_up - n1_up) <= 1e-3
         and abs(n0_up - n0_down) <= 1e-3
+        and all(
+            r.closed_offset <= sep <= r.open_offset and abs(r.offset - sep) <= 1e-12
+            for r in boundary_results.values()
+        )
     )
     detail = (
         f"n0 up {n0_up:.6f}, n0 down {n0_down:.6f}, n1 up {n1_up:.6f}"
-        f" (reference 0.52988875)"
+        f" (separatrix {float(sep)!r}, 30-digit leaf)"
     )
     report(4, "closed-orbit boundary", ok, detail)
 

@@ -30,13 +30,14 @@ from ptwells import (
     integrate,
     measure_tunneling,
     self_intersections,
+    separatrix_offset,
     spiral_chirality,
     spiral_windows,
     tunnel_well_pair,
     well_center,
 )
 from ptwells import analysis
-from ptwells.analysis import PROBE_CONFIG
+from ptwells.analysis import BOUNDARY_WIDTH, PROBE_CONFIG
 
 P = SystemParams(0.1, 3)
 
@@ -288,19 +289,69 @@ class TestBoundary:
             closed_orbit_boundary(WellIndex(Side.LEFT, 0), 0.8, P, direction=2)
 
     def test_probe_ending_by_drift_raises_at_once(self, monkeypatch):
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return integrate(*args)
-
-        monkeypatch.setattr(analysis, "integrate", counted)
+        calls = _count_integrations(monkeypatch)
         cfg = replace(PROBE_CONFIG, energy_drift_limit=1e-13)
         with pytest.raises(AmbiguousOrbitError) as exc_info:
             closed_orbit_boundary(WellIndex(Side.LEFT, 0), 0.8, P, cfg=cfg)
         msg = str(exc_info.value)
-        assert "offset 0.3 " in msg and "drift_exceeded" in msg
+        lower = separatrix_offset(P, 0.8) - 0.5 * BOUNDARY_WIDTH
+        assert f"offset {lower!r} " in msg and "drift_exceeded" in msg
         assert len(calls) == 1
+
+    def test_separatrix_outside_bracket_runs_no_probe(self, monkeypatch):
+        calls = _count_integrations(monkeypatch)
+        with pytest.raises(BracketingError) as exc_info:
+            closed_orbit_boundary(WellIndex(Side.LEFT, 0), 0.8, P, bracket=(0.6, 0.8))
+        msg = str(exc_info.value)
+        assert f"separatrix {separatrix_offset(P, 0.8)!r}" in msg and "(0.6, 0.8)" in msg
+        assert calls == []
+
+    def test_wrong_probe_class_raises(self):
+        # a cell this narrow lets the closed probe escape too
+        cfg = replace(PROBE_CONFIG, escape_y_span=0.1)
+        with pytest.raises(BracketingError, match="ended by escaped, .* ended by escaped"):
+            closed_orbit_boundary(WellIndex(Side.LEFT, 0), 0.8, P, cfg=cfg)
+
+    @pytest.mark.parametrize("n,direction", [(0, 1), (1, -1)])
+    def test_two_probes_confirm_the_separatrix(self, n, direction, monkeypatch):
+        calls = _count_integrations(monkeypatch)
+        res = closed_orbit_boundary(WellIndex(Side.LEFT, n), 0.8, P, direction=direction)
+        sep = separatrix_offset(P, 0.8)
+        assert len(calls) == 2 and res.n_probes == 2
+        assert res.offset == sep
+        assert (res.closed_offset, res.open_offset) == (sep - 0.5 * BOUNDARY_WIDTH, sep + 0.5 * BOUNDARY_WIDTH)
+
+
+def _count_integrations(monkeypatch) -> list:
+    """Route analysis' integrate through a wrapper that records each call."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return integrate(*args)
+
+    monkeypatch.setattr(analysis, "integrate", counted)
+    return calls
+
+
+class TestSeparatrix:
+    @pytest.mark.parametrize(
+        "zeta,m_int,energy",
+        [(0.1, 3, 0.8), (0.1, 3, 0.3), (0.1, 3, 2.0), (0.1, 2, 0.8), (0.3, 3, 0.8), (1.0, 4, 0.8), (0.1, 5, 1.5)],
+    )
+    def test_matches_30_digit_leaf(self, zeta, m_int, energy, mp_separatrix):
+        got = separatrix_offset(SystemParams(zeta, m_int), energy)
+        assert abs(got - float(mp_separatrix(zeta, m_int, energy))) <= 1e-12
+
+    def test_rejects_non_finite_energy(self):
+        with pytest.raises(DomainError):
+            separatrix_offset(P, math.nan)
+
+    def test_step_budget_raises(self, monkeypatch):
+        # the leaf needs about 100 steps to reach the well line
+        monkeypatch.setattr(analysis, "_LEAF_MAX_STEPS", 10)
+        with pytest.raises(AmbiguousOrbitError, match="within 10 steps"):
+            separatrix_offset(P, 0.8)
 
 
 class TestChirality:

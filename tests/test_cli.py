@@ -311,7 +311,25 @@ class TestThresholdCommand:
         assert outputs[1] == out
         assert out["closed_offset"] < out["critical_offset"] < out["open_offset"]
         assert 0.45 <= out["critical_offset"] <= 0.6
-        assert out["n_probes"] >= 4
+        assert out["n_probes"] == 2
+
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("threshold", ["--e", "0.8", "--bracket", "0.3"]),
+            ("threshold", ["--e", "0.8", "--bracket", "a,b"]),
+            ("threshold", ["--e", "0.8", "--bracket", "0.3,0.5,0.8"]),
+            ("sweep-e2", ["--e2", "abc"]),
+        ],
+    )
+    def test_bad_number_list_is_a_config_error(self, command, flags, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            pytest.fail("the run went ahead despite a bad number list")
+
+        monkeypatch.setattr(cli, "closed_orbit_boundary", never)
+        monkeypatch.setattr(cli, "cmd_sweep_e2", never)
+        assert main([command, "--zeta", "0.1", "--M", "3", *flags]) == EXIT_USAGE
+        assert "config error" in capsys.readouterr().err
 
 
 class TestEntryPoint:

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from ptwells import (
     potential_gradient,
     real_axis_hermitian_potential,
 )
+from ptwells.dynamics import chart_flow, flow
 
 P = SystemParams(0.1, 3)
 
@@ -132,6 +134,19 @@ class TestHamiltonian:
         ec = energy_components(z, 1j, P)
         assert ec.e1 == pytest.approx(-1.0, abs=1e-10)
         assert ec.e2 == pytest.approx(0.0, abs=1e-10)
+
+
+class TestChartFlow:
+    def test_matches_the_z_flow(self, rng):
+        # s = e^{2z}, s' = 4sp and s'' = 4s (4p^2 + dp/dt) on the shell H = E
+        for _ in range(50):
+            z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            p = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            s = cmath.exp(2 * z)
+            ds, d2s = chart_flow(P, hamiltonian(z, p, P))(np.array([s, 4 * s * p]))
+            assert ds == 4 * s * p
+            expected = 4 * s * (4 * p * p + flow(P)(z, p)[1])
+            assert abs(d2s - expected) <= 1e-11 * max(1.0, abs(s) * (abs(p) ** 2 + abs(potential(z, P))))
 
 
 class TestRealAxisPotential:
