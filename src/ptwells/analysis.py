@@ -32,7 +32,7 @@ from .integrator import (
     ReturnWatch,
     Termination,
     Trajectory,
-    dp5_step,
+    chart_step,
     initial_momentum,
     integrate,
 )
@@ -343,16 +343,17 @@ def tunnel_well_pair(traj: Trajectory) -> tuple[WellIndex, WellIndex]:
 def _recurrence(traj: Trajectory) -> float | None:
     """First return time to within DEFAULT_RECURRENCE_TOL of the start.
 
-    The return is the one ``ReturnWatch`` finds, interpolated linearly
-    along its segment.  Returns the period, 0.0 for a trajectory that never
-    leaves the ball about its start, or None when there is no recurrence.
+    The return is the one ``ReturnWatch`` finds, at the closest approach of
+    the cubic between two samples.  Returns the period, 0.0 for a trajectory
+    that never leaves the ball about its start, or None when there is no
+    recurrence.
     """
     z, p, t = traj.z.tolist(), traj.p.tolist(), traj.t.tolist()
-    watch = ReturnWatch(z[0], p[0], DEFAULT_RECURRENCE_TOL)
+    watch = ReturnWatch(t[0], z[0], p[0], DEFAULT_RECURRENCE_TOL, traj.params)
     for k in range(1, len(t)):
-        s = watch.step(z[k], p[k])
-        if s is not None:
-            return t[k - 1] + s * (t[k] - t[k - 1])
+        t_return = watch.step(t[k], z[k], p[k])
+        if t_return is not None:
+            return t_return
     return None if watch.left else 0.0
 
 
@@ -406,26 +407,24 @@ def separatrix_offset(params: SystemParams, energy_real: float) -> float:
     s' = -2 zeta, so the offset (arg s + pi/2)/2 holds for every well and both
     directions.
     """
-    f = chart_flow(params, complex(energy_real))
+    rhs = chart_flow(params, complex(energy_real))
     r_w = math.exp(-math.asinh(params.m_int / params.zeta))
-    y = np.array([0j, 2.0 * params.zeta])
-    k1 = f(y)
+    w, v = 0j, complex(2.0 * params.zeta)
+    a = rhs(w, v)[1]
     h = 1e-3
     for _ in range(_LEAF_MAX_STEPS):
-        yn, k7, e = dp5_step(f, y, k1, h)
-        err = math.sqrt(np.mean((np.abs(e) / (_LEAF_ATOL + _LEAF_RTOL * np.maximum(abs(y), abs(yn)))) ** 2))
+        wn, vn, an, _, err = chart_step(rhs, w, v, a, h, _LEAF_ATOL, _LEAF_RTOL)
         if err > 1.0:
             h *= max(0.2, 0.9 * err**-0.2)
             continue
-        w, v = yn
-        if abs(w) >= r_w:
-            for _ in range(8):  # Newton on the step length; d|s|/dh = Re(conj(s) s') / |s|
-                h -= (abs(w) - r_w) * abs(w) / (w.conjugate() * v).real
-                w, v = dp5_step(f, y, k1, h)[0]
-            if abs(abs(w) - r_w) <= 1e-14 * r_w:
-                return 0.5 * (cmath.phase(w) + 0.5 * math.pi)
+        if abs(wn) >= r_w:
+            for _ in range(8):  # Newton on the step length; d|w|/dh = Re(conj(w) w') / |w|
+                h -= (abs(wn) - r_w) * abs(wn) / (wn.conjugate() * vn).real
+                wn, vn = chart_step(rhs, w, v, a, h, _LEAF_ATOL, _LEAF_RTOL)[:2]
+            if abs(abs(wn) - r_w) <= 1e-14 * r_w:
+                return 0.5 * (cmath.phase(wn) + 0.5 * math.pi)
             break
-        y, k1 = yn, k7
+        w, v, a = wn, vn, an
         h *= min(5.0, 0.9 * err**-0.2) if err > 0 else 5.0
     raise AmbiguousOrbitError(
         f"the separatrix leaf did not land on |s| = r_w within {_LEAF_MAX_STEPS} steps ({params}, E={energy_real!r})"
@@ -454,6 +453,8 @@ def closed_orbit_boundary(
     """
     if direction not in (-1, 1):
         raise DomainError(f"direction must be +1 or -1, got {direction!r}")
+    if not (math.isfinite(width_tol) and width_tol > 0):
+        raise DomainError(f"width_tol must be finite and > 0, got {width_tol!r}")
     sep = separatrix_offset(params, energy_real)
     if not bracket[0] <= sep <= bracket[1]:
         raise BracketingError(

@@ -71,9 +71,9 @@ EXIT_AMBIGUOUS = 3
 TAU_SCALE = 16.0
 TMAX_FLOOR = 200.0
 
-# Tunneling orbits whip through regions steep enough that the energy check
-# saturates at the double-precision representation floor (~1e-5 relative
-# for the deepest whips); the relaxed guard still catches real blow-ups.
+# A step's energy error, measured in z, grows as 1/|w|^2 on a whip's pass
+# near w = 0; on the longest table row (E2 = 0.3) it reaches 3.8e-8.  The
+# relaxed guard keeps such rows and still catches real blow-ups.
 TUNNELING_DRIFT_LIMIT = 1e-3
 TUNNELING_ESCAPE_RADIUS = 12.0
 
@@ -441,12 +441,16 @@ def _load_file_config(path: str | None, keys: set[str]) -> dict:
     return data
 
 
-def _pick(flag_value, file_config: dict, key: str, default):
-    if flag_value is not None:
-        return flag_value
-    if key in file_config:
-        return file_config[key]
-    return default
+def _pick(flag_value, file_config: dict, key: str, default, kind=None):
+    """The flag's value, else the config file's, else ``default``; ``kind``
+    converts a given value, and a value it rejects is a config error."""
+    value = flag_value if flag_value is not None else file_config.get(key)
+    if value is None or kind is None:
+        return default if value is None else value
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"bad {key} {value!r}") from exc
 
 
 def _float_list(raw, name: str) -> list[float]:
@@ -460,12 +464,8 @@ def _float_list(raw, name: str) -> list[float]:
 
 def _integrator_overrides(args, file_config: dict) -> dict:
     """IntegratorConfig fields set by a flag or, failing that, by a config key."""
-    overrides = {}
-    for key, kind in INTEGRATOR_FIELDS.items():
-        v = _pick(getattr(args, key), file_config, key, None)
-        if v is not None:
-            overrides[key] = kind(v)
-    return overrides
+    picked = {key: _pick(getattr(args, key), file_config, key, None, kind) for key, kind in INTEGRATOR_FIELDS.items()}
+    return {key: v for key, v in picked.items() if v is not None}
 
 
 def _add_integrator_flags(p: argparse.ArgumentParser) -> None:
@@ -547,20 +547,21 @@ def _config_keys(p: argparse.ArgumentParser) -> set[str]:
 
 
 def _dispatch(args, config_keys: set[str]) -> int:
-    if args.command == "simulate":
+    if args.command in ("simulate", "sweep-e2", "threshold"):
         file_config = _load_file_config(args.config, config_keys)
-        zeta = _pick(args.zeta, file_config, "zeta", None)
-        m = _pick(args.m, file_config, "m", None)
+        zeta = _pick(args.zeta, file_config, "zeta", None, float)
+        m = _pick(args.m, file_config, "m", None, int)
+
+    if args.command == "simulate":
         e_raw = _pick(args.e, file_config, "e", None)
         if zeta is None or m is None or e_raw is None:
             raise DomainError("simulate needs --zeta, --M and --e (flags or config file)")
         energy = parse_complex(str(e_raw))
-        params = SystemParams(float(zeta), int(m))
         config = RunConfig(
-            params=params,
+            params=SystemParams(zeta, m),
             energy=energy,
-            start=str(_pick(args.start, file_config, "start", "origin")),
-            branch=MomentumBranch(_pick(args.branch, file_config, "branch", "principal")),
+            start=_pick(args.start, file_config, "start", "origin", str),
+            branch=_pick(args.branch, file_config, "branch", MomentumBranch.PRINCIPAL, MomentumBranch),
             integrator=replace(run_preset(energy), **_integrator_overrides(args, file_config)),
             trajectory_path=_pick(args.trajectory_out, file_config, "trajectory_out", None),
             events_path=_pick(args.events_out, file_config, "events_out", None),
@@ -569,21 +570,16 @@ def _dispatch(args, config_keys: set[str]) -> int:
         return cmd_simulate(config)
 
     if args.command == "sweep-e2":
-        file_config = _load_file_config(args.config, config_keys)
-        zeta = _pick(args.zeta, file_config, "zeta", None)
-        m = _pick(args.m, file_config, "m", None)
-        e1 = _pick(args.e1, file_config, "e1", 1.0)
+        e1 = _pick(args.e1, file_config, "e1", 1.0, float)
         e2_raw = _pick(args.e2, file_config, "e2", None)
         if zeta is None or m is None or e2_raw is None:
             raise DomainError("sweep-e2 needs --zeta, --M and --e2 (flags or config file)")
         e2_list = _float_list(e2_raw, "e2")
-        params = SystemParams(float(zeta), int(m))
+        params = SystemParams(zeta, m)
         overrides = _integrator_overrides(args, file_config)
         out_path = _pick(args.out, file_config, "out", None)
-        workers = _pick(args.workers, file_config, "workers", None)
-        rows = cmd_sweep_e2(
-            params, float(e1), e2_list, overrides, out_path, workers=None if workers is None else int(workers)
-        )
+        workers = _pick(args.workers, file_config, "workers", None, int)
+        rows = cmd_sweep_e2(params, e1, e2_list, overrides, out_path, workers=workers)
         failed = [r for r in rows if r["error"]]
         for r in rows:
             tau = "" if r["tau"] is None else f"{r['tau']:.6g}"
@@ -591,12 +587,9 @@ def _dispatch(args, config_keys: set[str]) -> int:
         return EXIT_NUMERICAL if len(failed) == len(rows) else EXIT_OK
 
     if args.command == "threshold":
-        file_config = _load_file_config(args.config, config_keys)
-        zeta = _pick(args.zeta, file_config, "zeta", None)
-        m = _pick(args.m, file_config, "m", None)
-        e_v = _pick(args.e, file_config, "e", None)
-        side = _pick(args.side, file_config, "side", "left")
-        n = _pick(args.n, file_config, "n", 0)
+        e_v = _pick(args.e, file_config, "e", None, float)
+        side = _pick(args.side, file_config, "side", Side.LEFT, Side)
+        n = _pick(args.n, file_config, "n", 0, int)
         if zeta is None or m is None or e_v is None:
             raise DomainError("threshold needs --zeta, --M and --e (flags or config file)")
         bracket_raw = _pick(args.bracket, file_config, "bracket", None)
@@ -604,12 +597,12 @@ def _dispatch(args, config_keys: set[str]) -> int:
         if len(bracket) != 2:
             raise DomainError(f"bad bracket {bracket_raw!r}: want lo,hi")
         result = cmd_threshold(
-            SystemParams(float(zeta), int(m)),
-            float(e_v),
-            WellIndex(Side(side), int(n)),
-            direction=int(_pick(args.direction, file_config, "direction", 1)),
+            SystemParams(zeta, m),
+            e_v,
+            WellIndex(side, n),
+            direction=_pick(args.direction, file_config, "direction", 1, int),
             bracket=bracket,
-            width_tol=float(_pick(args.width, file_config, "width", BOUNDARY_WIDTH)),
+            width_tol=_pick(args.width, file_config, "width", BOUNDARY_WIDTH, float),
             cfg=replace(PROBE_CONFIG, **_integrator_overrides(args, file_config)),
         )
         print(json.dumps(result))

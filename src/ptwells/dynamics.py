@@ -95,18 +95,24 @@ def flow(params: SystemParams) -> Callable[[complex, complex], tuple[complex, co
     return rhs
 
 
-def chart_flow(params: SystemParams, energy: complex) -> Callable[[np.ndarray], np.ndarray]:
-    """The flow in the chart s = e^{2z} at energy E: the array (s, s') -> (s', 2 Q'(s)),
-    with s' = 4sp, s'^2 = 4 Q(s) and Q(s) = 4E s^2 + (zeta s^2 - 2iM s + zeta)^2.
-    Re z = -inf is the regular point s = 0; u = e^{-2z} has the same flow.
+def chart_flow(params: SystemParams, energy: complex) -> Callable[[complex, complex], tuple[complex, complex, complex]]:
+    """The flow in the chart w = e^{2z} at energy E as one scalar kernel:
+    (w, w') -> (w', w'' = 2 Q'(w), Q(w)), with Q(w) = 4E w^2 + (zeta w^2 - 2iM w + zeta)^2.
+
+    On the shell H = E, w' = 4wp and w'^2 = 4 Q(w).  Re z = -inf is the regular
+    point w = 0.  The chart w = e^{-2z} has the same flow, since w^4 Q(1/w) = Q(w).
     """
     _require_finite(energy, "energy")
     zeta = params.zeta
     i_m = 1j * params.m_int
+    i_2m = 2.0 * i_m
+    e4 = 4.0 * energy
+    e16 = 16.0 * energy
 
-    def rhs(y: np.ndarray) -> np.ndarray:
-        w, v = y
-        return np.array([v, 16.0 * energy * w + 8.0 * (zeta * w * w - 2.0 * i_m * w + zeta) * (zeta * w - i_m)])
+    def rhs(w: complex, v: complex) -> tuple[complex, complex, complex]:
+        zw = zeta * w
+        b = (zw - i_2m) * w + zeta
+        return v, e16 * w + 8.0 * b * (zw - i_m), e4 * w * w + b * b
 
     return rhs
 

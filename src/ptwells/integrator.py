@@ -1,34 +1,33 @@
 """Adaptive integration of Hamilton's equations in the complex plane.
 
-The flow (``dynamics.flow``)
+H = p^2 + V(z) is integrated in the exponential charts of
+``dynamics.chart_flow``, w = e^{2z} left of the imaginary axis and
+w = e^{-2z} right of it, where the flow is the polynomial w'' = 2 Q'(w)
+and Re z = -/+inf is the regular point w = 0.  The whips of the paper's
+orbits, out to Re z ~ -7 where the cosh flow is exponentially steep, are
+passes near w = 0.  An embedded Dormand-Prince 5(4) pair (FSAL) under PI
+step control advances (w, w'); at |w| > 1 the loop changes chart,
+w -> 1/w and w' -> -w'/w^2.  A step that changes ln w by more than 1 in
+its real or imaginary part is rejected and halved: the integer count k
+of turns about w = 0 then stays exact, and approaches to w = 0 are
+resolved.  Each accepted step emits the sample
+z = c (ln|w| + i (arg w + 2 pi k)) / 2, p = c w' / (4w), with c = +1 on
+the left chart and -1 on the right.
 
-    dz/dt = 2p,        dp/dt = -dV/dz = 4 zeta sinh(2z) (zeta cosh(2z) - iM),
+After each step the state is projected onto the energy shell
+I = w'^2 - 4 Q(w) = 0 by one Newton step along conj(grad I) / |grad I|^2
+(Hairer, Lubich & Wanner, *Geometric Numerical Integration*, IV.4),
+which is well conditioned in the charts.  The residual before the
+projection, |I| / (16 |w|^2) / max(1, |E|), is |H - E| / max(1, |E|) of
+the unprojected state, the energy error of one step: ``Trajectory.drift``.
+The first step whose drift exceeds ``energy_drift_limit`` is discarded
+and integration stops with ``Termination.DRIFT_EXCEEDED``.
 
-is integrated with an embedded Dormand-Prince 5(4) pair (FSAL) under PI step
-control.  The complex energy H = p^2 + V(z) is exactly conserved by the
-flow, so the relative deviation |H - E| / max(1, |E|) measured at every
-accepted step serves as the numerical-correctness guard: the first sample
-that exceeds ``energy_drift_limit`` is discarded and integration stops
-with ``Termination.DRIFT_EXCEEDED``.  Every retained sample is therefore
-certified to satisfy the drift bound.
-
-Tunneling orbits periodically whip through regions where the potential is
-enormous (|V| ~ 1e4..1e9 while |E| ~ 1); there the energy check is
-ill-conditioned and plain relative step control lets single steps kick the
-energy by ~|V| * rel_tol.  The error norm below therefore also weights the
-per-step error against its effect on the energy (via 2|p| and |dV/dz|),
-which keeps trajectories certified through moderate whips.  Past
-|dV/dz| ~ 1e6 the drift measurement saturates at the double-precision
-representation floor of the state itself and the guard fires regardless;
-analysis then works on the certified prefix.
-
-That floor is recorded.  One rounding of z and p each moves H by at most
-about eps (|dV/dz| |z| + 2 |p|^2); relative to max(1, |E|) this is the
-per-step drift floor F.  The kicks stay in the state, since the flow
-carries an energy offset on, and add up from step to step as a random
-walk.  ``Trajectory.drift_floor_rss`` is sqrt(sum F^2) over the steps whose
-sample is kept, the samples ``max_drift`` is taken over; drift of that
-order is not resolvable in double precision.
+In z, where the samples are stored, H is ill-conditioned at a whip: one
+rounding of z and p moves H by about eps (|dV/dz| |z| + 2 |p|^2), the
+floor F of a sample relative to max(1, |E|).  ``Trajectory.drift_floor_rss``
+is sqrt(sum F^2) over the kept samples; an energy error of that order at a
+stored sample is not resolvable in double precision.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import SystemParams, flow, hamiltonian, potential, potential_array
+from .dynamics import SystemParams, chart_flow, flow, hamiltonian, potential, potential_array
 from .errors import DomainError, NonFiniteStateError
 
 __all__ = [
@@ -52,7 +51,7 @@ __all__ = [
     "Trajectory",
     "initial_momentum",
     "derivative",
-    "dp5_step",
+    "chart_step",
     "integrate",
 ]
 
@@ -114,12 +113,12 @@ class Trajectory:
     """Samples retained at accepted steps, plus the conserved energy.
 
     Sample arrays are columnar for memory efficiency; ``state(i)``
-    provides the record view.  ``drift[i]`` is the relative
-    energy deviation |H - E| / max(1, |E|) at sample i, bounded by the
-    integration config's ``energy_drift_limit`` for every retained sample.
-    ``drift_floor_rss`` is the root sum of squares of the per-step drift
-    floors eps (|dV/dz| |z| + 2 |p|^2) / max(1, |E|) over the steps whose
-    sample is retained, so it pairs with ``max_drift``.
+    provides the record view.  ``drift[i]`` is the energy error of the
+    step that ended at sample i: |H - E| / max(1, |E|) of its state before
+    the projection onto the shell, bounded by the integration config's
+    ``energy_drift_limit`` for every retained sample.  ``drift_floor_rss``
+    is the root sum of squares of the per-sample floors
+    eps (|dV/dz| |z| + 2 |p|^2) / max(1, |E|) over the retained samples.
     """
 
     params: SystemParams
@@ -177,103 +176,119 @@ def derivative(state: PhaseState, params: SystemParams) -> tuple[complex, comple
 class ReturnWatch:
     """The first return of a sample sequence to its start phase point.
 
-    Distances are Euclidean over (z, p) as a 4-real-vector.  A return is
-    the first segment between consecutive samples whose closest approach
-    to the start lies within ``tol``, counted only once a sample has left
-    the ball of radius max(100 tol, 1e-3) about the start.  Taking the
-    minimum over each segment registers the return even when no sample
-    lands near the start.  ``integrate`` feeds it each kept sample online
-    and ``analysis.classify_orbit`` replays a finished trajectory through
-    it, so both find the same return.
+    Distances are Euclidean over (z, p) as a 4-real-vector.  Between
+    consecutive samples the orbit is the cubic Hermite of (z, p) in t with
+    the slopes (2p, -dV/dz) of ``dynamics.flow``; a return is the first
+    segment whose closest approach to the start lies within ``tol``,
+    counted once a sample has left the ball of radius max(100 tol, 1e-3)
+    about the start.  ``integrate`` feeds it each kept sample online and
+    ``analysis.classify_orbit`` replays a finished trajectory through it,
+    so both find the same return.
     """
 
-    def __init__(self, z0: complex, p0: complex, tol: float) -> None:
+    def __init__(self, t0: float, z0: complex, p0: complex, tol: float, params: SystemParams) -> None:
         self.z0, self.p0 = z0, p0
         self.tol = tol
         self.leave_sq = max(100.0 * tol, 1e-3) ** 2
         self.left = False
-        self.az, self.ap = 0j, 0j  # offset of the previous sample from the start
+        self.rhs = flow(params)
+        self.prev = (t0, 0j, 0j, *self.rhs(z0, p0)[:2])  # time, offset from the start, slope
 
-    def step(self, z: complex, p: complex) -> float | None:
-        """Take the next sample; the fraction along the segment from the
-        previous sample at which the orbit returns, or None."""
-        az, ap = self.az, self.ap
+    def step(self, t: float, z: complex, p: complex) -> float | None:
+        """Take the next sample; the time of the return on the segment it ends, or None."""
+        ta, az, ap, dza, dpa = self.prev
         bz, bp = z - self.z0, p - self.p0
-        self.az, self.ap = bz, bp
+        dz, dp, _ = self.rhs(z, p)
+        self.prev = (t, bz, bp, dz, dp)
         if not self.left:
             self.left = _norm_sq(bz, bp) > self.leave_sq
             return None
-        uz, up = bz - az, bp - ap
-        uu = _norm_sq(uz, up)
-        au = az.real * uz.real + az.imag * uz.imag + ap.real * up.real + ap.imag * up.imag
-        s = min(1.0, max(0.0, -au / uu)) if uu > 0 else 0.0
-        return s if math.sqrt(_norm_sq(az + s * uz, ap + s * up)) <= self.tol else None
+        h = t - ta
+        s = _hermite_closest((az, ap), (h * dza, h * dpa), (bz, bp), (h * dz, h * dp), self.tol)
+        return None if s is None else ta + s * h
 
 
 def _norm_sq(z: complex, p: complex) -> float:
     return z.real * z.real + z.imag * z.imag + p.real * p.real + p.imag * p.imag
 
 
-# Dormand-Prince 5(4) tableau: rows for stages 2-6, the fifth-order weights
-# (the 7th stage is taken there, FSAL) and the error weights of stages 1-7.
-_ROWS = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_ERR_ROW = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-(_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54), (_A61, _A62, _A63, _A64, _A65) = _ROWS[:5]
-_B1, _B2, _B3, _B4, _B5, _B6 = _ROWS[5]
-_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _ERR_ROW
+def _hermite_closest(a, ma, b, mb, tol: float) -> float | None:
+    """The s in [0, 1] where the cubic Hermite from ``a`` (slope ``ma``) to
+    ``b`` (slope ``mb``), each a (z, p) pair, comes closest to 0, if within
+    ``tol``.  The cubic strays from the chord by s(1-s)((1-s) alpha - s beta),
+    alpha and beta the end slopes less the chord, so by at most
+    max(|alpha|, |beta|) / 4: a chord farther than that beyond ``tol`` is
+    skipped.  Otherwise the squared distance, of degree 6, is minimised over
+    its critical points and the ends."""
+    u = (b[0] - a[0], b[1] - a[1])
+    au = a[0].real * u[0].real + a[0].imag * u[0].imag + a[1].real * u[1].real + a[1].imag * u[1].imag
+    uu = _norm_sq(*u)
+    s = min(1.0, max(0.0, -au / uu)) if uu > 0 else 0.0
+    bow = 0.25 * math.sqrt(max(_norm_sq(ma[0] - u[0], ma[1] - u[1]), _norm_sq(mb[0] - u[0], mb[1] - u[1])))
+    if math.sqrt(_norm_sq(a[0] + s * u[0], a[1] + s * u[1])) > tol + bow:
+        return None
+    # per complex component, the offset c3 s^3 + c2 s^2 + c1 s + c0
+    coef = np.array([[ma[i] + mb[i] - 2.0 * u[i], 3.0 * u[i] - 2.0 * ma[i] - mb[i], ma[i], a[i]] for i in (0, 1)])
+    sq = sum(np.convolve(c, c) for c in (*coef.real, *coef.imag))
+    cands = np.concatenate([[0.0, 1.0], np.clip(np.roots(np.polyder(sq)).real, 0.0, 1.0)])
+    s = float(cands[np.argmin(np.polyval(sq, cands))])
+    return s if math.sqrt(_norm_sq(*(complex(np.polyval(c, s)) for c in coef))) <= tol else None
 
 
-def dp5_step(rhs, y: np.ndarray, k1: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One DP5 step of the array ``y`` under ``rhs`` from its slope ``k1``: the
-    new state, its slope and the error estimate (``integrate`` inlines it)."""
-    k = [k1]
-    for row in _ROWS:
-        yn = y + h * sum(a * ki for a, ki in zip(row, k))
-        k.append(rhs(yn))
-    return yn, k[-1], h * sum(e * ki for e, ki in zip(_ERR_ROW, k))
+# Dormand-Prince 5(4): stage rows, fifth-order weights (the 7th stage is
+# taken there, FSAL) and the error weights of stages 1-7.
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
+
+
+def chart_step(rhs, w: complex, v: complex, a: complex, h: float, atol: float, rtol: float):
+    """One DP5 step of w'' = 2 Q'(w) under the chart kernel ``rhs`` from
+    (w, w'), where w'' = a: the new w, w', w'' and Q(w), and the RMS of the
+    error estimates of w and w', each over atol + rtol times its larger end."""
+    v2 = v + h * (_A21 * a)
+    a2 = rhs(w + h * (_A21 * v), v2)[1]
+    v3 = v + h * (_A31 * a + _A32 * a2)
+    a3 = rhs(w + h * (_A31 * v + _A32 * v2), v3)[1]
+    v4 = v + h * (_A41 * a + _A42 * a2 + _A43 * a3)
+    a4 = rhs(w + h * (_A41 * v + _A42 * v2 + _A43 * v3), v4)[1]
+    v5 = v + h * (_A51 * a + _A52 * a2 + _A53 * a3 + _A54 * a4)
+    a5 = rhs(w + h * (_A51 * v + _A52 * v2 + _A53 * v3 + _A54 * v4), v5)[1]
+    v6 = v + h * (_A61 * a + _A62 * a2 + _A63 * a3 + _A64 * a4 + _A65 * a5)
+    a6 = rhs(w + h * (_A61 * v + _A62 * v2 + _A63 * v3 + _A64 * v4 + _A65 * v5), v6)[1]
+    wn = w + h * (_B1 * v + _B3 * v3 + _B4 * v4 + _B5 * v5 + _B6 * v6)
+    vn = v + h * (_B1 * a + _B3 * a3 + _B4 * a4 + _B5 * a5 + _B6 * a6)
+    _, an, qn = rhs(wn, vn)
+    err_w = abs(h * (_E1 * v + _E3 * v3 + _E4 * v4 + _E5 * v5 + _E6 * v6 + _E7 * vn))
+    err_v = abs(h * (_E1 * a + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6 + _E7 * an))
+    err_w /= atol + rtol * max(abs(w), abs(wn))
+    err_v /= atol + rtol * max(abs(v), abs(vn))
+    return wn, vn, an, qn, math.sqrt(0.5 * (err_w * err_w + err_v * err_v))
 
 
 _EPS = 2.220446049250313e-16
 _SAFETY = 0.9
 _BETA = 0.04
 _EXPO1 = 0.2 - 0.75 * _BETA
-# fraction of (abs_tol + rel_tol |E|) a single step may kick the energy by;
-# the margin absorbs random-walk accumulation over ~1e5-step horizons
-_ENERGY_SAFETY = 0.25
+# largest change of ln w, real or imaginary, in one accepted step
+_MAX_DLOG = 1.0
+# 2 pi as a double plus its rounding error, so that 2 pi k keeps its digits
+_TWO_PI = 2.0 * math.pi
+_TWO_PI_LO = 2.4492935982947064e-16
 
 
-class _Buf:
-    """Geometrically grown columnar sample storage."""
-
-    def __init__(self) -> None:
-        self.cap = 1 << 12
-        self.n = 0
-        self.t = np.empty(self.cap)
-        self.z = np.empty(self.cap, dtype=complex)
-        self.p = np.empty(self.cap, dtype=complex)
-        self.d = np.empty(self.cap)
-
-    def push(self, t: float, z: complex, p: complex, d: float) -> None:
-        if self.n == self.cap:
-            self.cap *= 2
-            for name in ("t", "z", "p", "d"):
-                arr = getattr(self, name)
-                grown = np.empty(self.cap, dtype=arr.dtype)
-                grown[: self.n] = arr
-                setattr(self, name, grown)
-        i = self.n
-        self.t[i] = t
-        self.z[i] = z
-        self.p[i] = p
-        self.d[i] = d
-        self.n = i + 1
+def _project(w: complex, v: complex, a: complex, q: complex) -> tuple[complex, complex, complex]:
+    """(w, w') moved onto the shell I = w'^2 - 4 Q(w) = 0 by one Newton step,
+    given w'' = 2 Q'(w) = a and Q(w) = q, and the residual I before it."""
+    res = v * v - 4.0 * q
+    gw, gv = -2.0 * a, 2.0 * v  # dI/dw = -4 Q'(w), dI/dw' = 2 w'
+    gg = gw.real * gw.real + gw.imag * gw.imag + gv.real * gv.real + gv.imag * gv.imag
+    f = res / gg if gg else 0.0
+    return w - f * gw.conjugate(), v - f * gv.conjugate(), res
 
 
 def integrate(
@@ -291,30 +306,30 @@ def integrate(
     if not (math.isfinite(e0.real) and math.isfinite(e0.imag)):
         raise DomainError(f"initial energy is not finite: {e0!r}")
 
-    rhs = flow(params)
+    rhs = chart_flow(params, e0)
     e_scale = max(1.0, abs(e0))
-    # per-step energy-error budget used by the error norm
-    budget = _ENERGY_SAFETY * (config.abs_tol + config.rel_tol * e_scale)
-    rtol = config.rel_tol
-    atol = config.abs_tol
-    drift_limit = config.energy_drift_limit
-    escape_radius = config.escape_radius
-    escape_y_span = config.escape_y_span
+    rtol, atol, t_max, max_steps = config.rel_tol, config.abs_tol, config.t_max, config.max_steps
+    drift_limit, escape_radius, escape_y_span = config.energy_drift_limit, config.escape_radius, config.escape_y_span
     y0 = z0.imag
-    t_max = config.t_max
-    max_steps = config.max_steps
+    log, phase = math.log, cmath.phase
 
-    buf = _Buf()
     t, z, p = 0.0, complex(z0), complex(p0)
-    buf.push(t, z, p, 0.0)
-    watch = None if config.return_tol is None else ReturnWatch(z, p, config.return_tol)
+    ts, zs, ps, ds = [t], [z], [p], [0.0]
+    watch = None if config.return_tol is None else ReturnWatch(t, z, p, config.return_tol, params)
 
-    k1z, k1p, _ = rhs(z, p)
+    # the chart: c = +1 for w = e^{2z}, -1 for w = e^{-2z}; k counts the turns of w
+    c = 1.0 if z.real <= 0.0 else -1.0
+    w = cmath.exp(2.0 * c * z)
+    v = 4.0 * c * p * w
+    w, v, _ = _project(w, v, *rhs(w, v)[1:])
+    a = rhs(w, v)[1]
+    ph = phase(w)
+    k = round((2.0 * c * z.imag - ph) / _TWO_PI)
+
     h = min(config.dt_init, t_max)
     facold = 1e-4
     floor_sq = 0.0  # sum of (|dV/dz| |z| + 2 |p|^2)^2 over kept samples
-    n_acc = 0
-    n_rej = 0
+    n_acc = n_rej = 0
     rejected_last = False
     termination = Termination.TIME_LIMIT
 
@@ -326,96 +341,72 @@ def integrate(
         if last_step:
             h = t_max - t
 
-        k2z, k2p, _ = rhs(z + h * (_A21 * k1z), p + h * (_A21 * k1p))
-        k3z, k3p, _ = rhs(z + h * (_A31 * k1z + _A32 * k2z), p + h * (_A31 * k1p + _A32 * k2p))
-        k4z, k4p, _ = rhs(
-            z + h * (_A41 * k1z + _A42 * k2z + _A43 * k3z),
-            p + h * (_A41 * k1p + _A42 * k2p + _A43 * k3p),
-        )
-        k5z, k5p, _ = rhs(
-            z + h * (_A51 * k1z + _A52 * k2z + _A53 * k3z + _A54 * k4z),
-            p + h * (_A51 * k1p + _A52 * k2p + _A53 * k3p + _A54 * k4p),
-        )
-        k6z, k6p, _ = rhs(
-            z + h * (_A61 * k1z + _A62 * k2z + _A63 * k3z + _A64 * k4z + _A65 * k5z),
-            p + h * (_A61 * k1p + _A62 * k2p + _A63 * k3p + _A64 * k4p + _A65 * k5p),
-        )
-        zn = z + h * (_B1 * k1z + _B3 * k3z + _B4 * k4z + _B5 * k5z + _B6 * k6z)
-        pn = p + h * (_B1 * k1p + _B3 * k3p + _B4 * k4p + _B5 * k5p + _B6 * k6p)
-        if not (
-            math.isfinite(zn.real) and math.isfinite(zn.imag)
-            and math.isfinite(pn.real) and math.isfinite(pn.imag)
-        ):
-            raise NonFiniteStateError(f"non-finite state at t={t!r}: z={zn!r}, p={pn!r}")
-        k7z, k7p, bracket = rhs(zn, pn)
+        wn, vn, an, qn, err = chart_step(rhs, w, v, a, h, atol, rtol)
+        if not (0.0 < abs(wn) < math.inf and abs(vn) < math.inf):
+            raise NonFiniteStateError(f"state leaves the chart at t={t!r}: w={wn!r}, w'={vn!r}")
+        dlog = cmath.log(wn / w)
 
-        err_z = h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z + _E7 * k7z)
-        err_p = h * (_E1 * k1p + _E3 * k3p + _E4 * k4p + _E5 * k5p + _E6 * k6p + _E7 * k7p)
-
-        az = max(abs(z), abs(zn))
-        ap = max(abs(p), abs(pn))
-        # |dV/dz| and 2|p| convert state error into energy error; cap the
-        # scales so one step cannot kick H by much more than `budget`, but
-        # never push them below the representation floor of the state.
-        grad_mag = abs(k1p)
-        sz = min(atol + rtol * az, budget / max(1.0, grad_mag))
-        sp = min(atol + rtol * ap, budget / max(1.0, 2.0 * ap))
-        sz = max(sz, 4.0 * _EPS * az)
-        sp = max(sp, 4.0 * _EPS * ap)
-        err = math.sqrt(0.5 * ((abs(err_z) / sz) ** 2 + (abs(err_p) / sp) ** 2))
-
-        if err <= 1.0:
-            t = t_max if last_step else t + h
-            z, p = zn, pn
-            k1z, k1p = k7z, k7p
-            n_acc += 1
-
-            hh = p * p - bracket * bracket
-            drift = abs(hh - e0) / e_scale
-            if drift <= drift_limit:
-                # the floor counts only where the sample is kept, as the drift does
-                floor = grad_mag * az + 2.0 * ap * ap
-                floor_sq += floor * floor
-            if abs(zn.real) > escape_radius or abs(zn.imag - y0) > escape_y_span:
-                if drift <= drift_limit:
-                    buf.push(t, z, p, drift)
-                termination = Termination.ESCAPED
-                break
-            if drift > drift_limit:
-                termination = Termination.DRIFT_EXCEEDED
-                break
-            buf.push(t, z, p, drift)
-            if watch is not None and watch.step(z, p) is not None:
-                termination = Termination.RETURNED
-                break
-            if last_step:
-                termination = Termination.TIME_LIMIT
-                break
-
-            if err == 0.0:
-                fac = 10.0
-            else:
-                fac = _SAFETY * err ** (-_EXPO1) * facold**_BETA
-                fac = min(10.0, max(0.2, fac))
-            if rejected_last:
-                fac = min(1.0, fac)
-            h *= fac
-            facold = max(err, 1e-4)
-            rejected_last = False
-        else:
+        if err > 1.0 or abs(dlog.real) > _MAX_DLOG or abs(dlog.imag) > _MAX_DLOG:
             n_rej += 1
-            h *= max(0.2, _SAFETY * err**-0.2)
+            h *= 0.5 if err <= 1.0 else max(0.2, _SAFETY * err**-0.2)
             rejected_last = True
             if h < 1e-14 * max(1.0, abs(t)):
                 raise NonFiniteStateError(f"step size underflow at t={t!r} (h={h!r})")
+            continue
+
+        t = t_max if last_step else t + h
+        n_acc += 1
+        w, v, res = _project(wn, vn, an, qn)
+        drift = abs(res) / (16.0 * abs(wn) ** 2 * e_scale)
+        a = an
+        aw = abs(w)
+        ph_new = phase(w)
+        k += round((ph + dlog.imag - ph_new) / _TWO_PI)
+        ph = ph_new
+        z = complex(0.5 * c * log(aw), 0.5 * c * (ph + k * _TWO_PI + k * _TWO_PI_LO))
+        p = 0.25 * c * v / w
+
+        if drift <= drift_limit:
+            # |dV/dz| = |dp/dt| = |w'' w - w'^2| / (4 |w|^2) and |p| = |w'| / (4 |w|)
+            floor = (abs(a * w - v * v) * abs(z) + 0.5 * abs(v) ** 2) / (4.0 * aw * aw)
+            floor_sq += floor * floor
+            ts.append(t)
+            zs.append(z)
+            ps.append(p)
+            ds.append(drift)
+        if abs(z.real) > escape_radius or abs(z.imag - y0) > escape_y_span:
+            termination = Termination.ESCAPED
+            break
+        if drift > drift_limit:
+            termination = Termination.DRIFT_EXCEEDED
+            break
+        if watch is not None and watch.step(t, z, p) is not None:
+            termination = Termination.RETURNED
+            break
+        if last_step:
+            termination = Termination.TIME_LIMIT
+            break
+
+        if aw > 1.0:  # across the imaginary axis: the other chart
+            w = 1.0 / w
+            v = -v * w * w
+            c = -c
+            ph = phase(w)
+            k = round((2.0 * c * z.imag - ph) / _TWO_PI)
+            a = rhs(w, v)[1]
+
+        fac = 10.0 if err == 0.0 else min(10.0, max(0.2, _SAFETY * err ** (-_EXPO1) * facold**_BETA))
+        h *= min(1.0, fac) if rejected_last else fac
+        facold = max(err, 1e-4)
+        rejected_last = False
 
     return Trajectory(
         params=params,
         energy=e0,
-        t=buf.t[: buf.n].copy(),
-        z=buf.z[: buf.n].copy(),
-        p=buf.p[: buf.n].copy(),
-        drift=buf.d[: buf.n].copy(),
+        t=np.array(ts),
+        z=np.array(zs, dtype=complex),
+        p=np.array(ps, dtype=complex),
+        drift=np.array(ds),
         termination=termination,
         n_accepted=n_acc,
         n_rejected=n_rej,

@@ -98,18 +98,23 @@ SHIFT_PAIR = (-1, 19)
 
 ARBITRATION = pathlib.Path(__file__).parent / "data" / "arbitration.json"
 
-# Criterion 5 holds each trajectory to 1e-8 + DRIFT_FLOOR_FACTOR * R, R its
-# Trajectory.drift_floor_rss: sqrt(sum F^2) over the kept steps, F the
-# per-step floor eps (|dV/dz| |z| + 2 |p|^2) / max(1, |E|).  Each kept step
-# rounds the new z and p to the nearest double, which kicks H by an amount
-# spread over an interval at most F wide: RMS at most F/sqrt(12).  The kicks
-# stay in the state and add up as a random walk whose spread at the end of
-# the run is sigma = R/sqrt(12).  By the reflection principle the walk's
-# largest excursion over the run passes 4 sigma with probability at most
-# 2 P(|N(0,1)| > 4) ~ 1.3e-4 per trajectory.  Evaluating H at a sample adds
-# at most about one F, and F <= R.  Hence K = 4/sqrt(12) + 1 ~ 2.15.  The
-# largest F alone does not bound the drift: a closed orbit near the
-# separatrix plunges to the same floor on every loop.
+# Criterion 5 holds each trajectory to 1e-8 + DRIFT_FLOOR_FACTOR * R.  Its
+# drift is the energy error of one integrator step: |H - E| / max(1, |E|) of
+# the state a step reaches before the integrator projects it back onto the
+# energy shell, largest over the kept steps.  The projection carries no step's
+# error on to the next, so a step's error is its own, not a sum.  R is
+# Trajectory.drift_floor_rss, sqrt(sum F^2) over the kept samples, with
+# F = eps (|dV/dz| |z| + 2 |p|^2) / max(1, |E|) the floor of a sample stored
+# in z: rounding z and p to doubles moves H by up to F, spread over an
+# interval at most F wide, RMS at most F/sqrt(12).  At a whip F passes 1e-8,
+# and no double-precision state there has H within 1e-8 of E.  K bounds
+# rounding even where it adds up as a random walk, of spread
+# sigma = R/sqrt(12) at the end of the run: by the reflection principle the
+# walk's largest excursion passes 4 sigma with probability at most
+# 2 P(|N(0,1)| > 4) ~ 1.3e-4 per trajectory, and evaluating H at a sample
+# adds at most about one F, with F <= R.  Hence K = 4/sqrt(12) + 1 ~ 2.15.
+# The control, a run at rel_tol 1e-7, must exceed its allowance: a step error
+# that a loose tolerance lets through is not hidden under R.
 DRIFT_FLOOR_FACTOR = 4.0 / math.sqrt(12.0) + 1.0
 
 

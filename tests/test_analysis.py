@@ -29,6 +29,7 @@ from ptwells import (
     initial_momentum,
     integrate,
     measure_tunneling,
+    potential_gradient,
     self_intersections,
     separatrix_offset,
     spiral_chirality,
@@ -257,12 +258,25 @@ class TestReturnStop:
         assert traj.termination is Termination.RETURNED
         oc = classify_orbit(traj)
         assert oc.kind is OrbitKind.CLOSED
-        # closest approach of the last segment to the start, in (z, p) as R^4
-        a = np.array([traj.z[-2] - traj.z[0], traj.p[-2] - traj.p[0]])
-        u = np.array([traj.z[-1] - traj.z[-2], traj.p[-1] - traj.p[-2]])
-        s = min(1.0, max(0.0, -np.vdot(u, a).real / np.vdot(u, u).real))
-        assert np.linalg.norm(a + s * u) <= PROBE_CONFIG.return_tol
-        assert oc.period == pytest.approx(traj.t[-2] + s * (traj.t[-1] - traj.t[-2]), rel=1e-12, abs=0)
+        # closest approach to the start of the last segment's cubic Hermite in
+        # t, with the slopes (2p, -dV/dz) at both ends, in (z, p) as R^4
+        ta, tb = traj.t[-2], traj.t[-1]
+        h = tb - ta
+        (a, ma), (b, mb) = [
+            (
+                np.array([traj.z[i] - traj.z[0], traj.p[i] - traj.p[0]]),
+                h * np.array([2.0 * traj.p[i], -potential_gradient(complex(traj.z[i]), P)]),
+            )
+            for i in (-2, -1)
+        ]
+        s = np.linspace(0.0, 1.0, 200_001)[:, None]
+        curve = (
+            (2 * s**3 - 3 * s**2 + 1) * a + (s**3 - 2 * s**2 + s) * ma + (3 * s**2 - 2 * s**3) * b + (s**3 - s**2) * mb
+        )
+        dist = np.linalg.norm(curve, axis=1)
+        i = int(np.argmin(dist))
+        assert dist[i] <= PROBE_CONFIG.return_tol
+        assert oc.period == pytest.approx(ta + s[i, 0] * h, rel=0, abs=1e-5 * h)
 
     def test_no_return_tol_integrates_on(self):
         traj = integrate(*_probe_start(0.2), replace(PROBE_CONFIG, return_tol=None), P)
@@ -287,6 +301,13 @@ class TestBoundary:
     def test_direction_validation(self):
         with pytest.raises(DomainError):
             closed_orbit_boundary(WellIndex(Side.LEFT, 0), 0.8, P, direction=2)
+
+    @pytest.mark.parametrize("width", [0.0, -1.0, math.nan, math.inf])
+    def test_width_validation(self, width, monkeypatch):
+        calls = _count_integrations(monkeypatch)
+        with pytest.raises(DomainError, match="width_tol"):
+            closed_orbit_boundary(WellIndex(Side.LEFT, 0), 0.8, P, width_tol=width)
+        assert calls == []
 
     def test_probe_ending_by_drift_raises_at_once(self, monkeypatch):
         calls = _count_integrations(monkeypatch)

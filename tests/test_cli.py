@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from ptwells import BoundaryResult, DomainError, SystemParams, cli
+from ptwells import BoundaryResult, DomainError, SystemParams, analysis, cli
 from ptwells.analysis import PROBE_CONFIG
 from ptwells.cli import (
     EXIT_AMBIGUOUS,
@@ -270,6 +270,28 @@ class TestConfigFile:
         assert main([command, "--config", str(cfg_path)]) == EXIT_USAGE
         assert "'rel-tol'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command,keys,bad",
+        [
+            ("threshold", {"e": "abc"}, "e"),
+            ("sweep-e2", {"zeta": "x", "e2": "1.0"}, "zeta"),
+            ("simulate", {"e": "0.8", "branch": "sideways"}, "branch"),
+            ("threshold", {"e": 0.8, "rel_tol": "tight"}, "rel_tol"),
+        ],
+    )
+    def test_bad_config_value_is_a_config_error(self, command, keys, bad, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            pytest.fail("the run went ahead despite a bad config value")
+
+        monkeypatch.setattr(cli, "run_simulation", never)
+        monkeypatch.setattr(cli, "cmd_sweep_e2", never)
+        monkeypatch.setattr(cli, "closed_orbit_boundary", never)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"zeta": 0.1, "m": 3, **keys}))
+        assert main([command, "--config", str(cfg_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "config error" in err and f"bad {bad} {keys[bad]!r}" in err
+
 
 class TestPoolSizing:
     def test_one_usable_cpu_runs_in_process(self, monkeypatch):
@@ -330,6 +352,17 @@ class TestThresholdCommand:
         monkeypatch.setattr(cli, "cmd_sweep_e2", never)
         assert main([command, "--zeta", "0.1", "--M", "3", *flags]) == EXIT_USAGE
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("width", ["0", "-1"])
+    def test_bad_width_is_a_config_error(self, width, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            pytest.fail("a probe ran despite a bad width")
+
+        monkeypatch.setattr(analysis, "integrate", never)
+        args = ["threshold", "--zeta", "0.1", "--M", "3", "--e", "0.8", "--width", width]
+        assert main(args) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "config error" in err and f"width_tol must be finite and > 0, got {float(width)!r}" in err
 
 
 class TestEntryPoint:

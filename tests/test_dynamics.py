@@ -1,7 +1,6 @@
 import cmath
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -138,15 +137,17 @@ class TestHamiltonian:
 
 class TestChartFlow:
     def test_matches_the_z_flow(self, rng):
-        # s = e^{2z}, s' = 4sp and s'' = 4s (4p^2 + dp/dt) on the shell H = E
+        # s = e^{2z}, s' = 4sp, s'' = 4s (4p^2 + dp/dt) and s'^2 = 4 Q(s) on the shell H = E
         for _ in range(50):
             z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             p = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             s = cmath.exp(2 * z)
-            ds, d2s = chart_flow(P, hamiltonian(z, p, P))(np.array([s, 4 * s * p]))
+            ds, d2s, q = chart_flow(P, hamiltonian(z, p, P))(s, 4 * s * p)
             assert ds == 4 * s * p
+            scale = max(1.0, abs(s) * (abs(p) ** 2 + abs(potential(z, P))))
             expected = 4 * s * (4 * p * p + flow(P)(z, p)[1])
-            assert abs(d2s - expected) <= 1e-11 * max(1.0, abs(s) * (abs(p) ** 2 + abs(potential(z, P))))
+            assert abs(d2s - expected) <= 1e-11 * scale
+            assert abs(q - 4 * s * s * p * p) <= 1e-11 * abs(s) * scale
 
 
 class TestRealAxisPotential:

@@ -13,7 +13,9 @@ from ptwells import (
     SystemParams,
     Termination,
     WellIndex,
+    classify_orbit,
     derivative,
+    detect_axis_crossings,
     hamiltonian,
     initial_momentum,
     integrate,
@@ -90,6 +92,28 @@ class TestIntegrate:
         assert fig_closed.energy == hamiltonian(complex(z0), complex(p0), P)
         # default config: drift limit 1e-8, and this bounded run never trips it
         assert fig_closed.max_drift <= 1e-8
+
+    @pytest.mark.parametrize("fixture", ["fig_closed", "fig_tunneling"])
+    def test_stored_samples_hold_the_energy(self, fixture, request):
+        # H evaluated in z at every stored sample, against criterion 5's
+        # allowance 1e-8 + K R: a fault in rebuilding z and p from the chart
+        # state (a lost turn of w, a drifting angle) breaks it
+        traj = request.getfixturevalue(fixture)
+        err1, err2 = traj.energy_component_errors()
+        allowance = 1e-8 + (4.0 / math.sqrt(12.0) + 1.0) * traj.drift_floor_rss
+        assert max(np.abs(err1).max(), np.abs(err2).max()) <= allowance
+
+    def test_closed_period_is_omega_a(self, fig_closed):
+        # omega_A, the integral of dw / sqrt(Q) between the two small roots of Q
+        assert abs(classify_orbit(fig_closed).period - 0.548162911389794) <= 1e-5
+
+    def test_no_jump_between_samples(self, fig_tunneling):
+        # one step turns w by at most 1 rad and scales it by at most e, so z
+        # moves by at most 1/2 in x and in y; a miscounted turn jumps by pi
+        dz = np.diff(fig_tunneling.z)
+        assert np.abs(dz.imag).max() <= 0.5
+        assert np.abs(dz.real).max() <= 0.5
+        assert len(detect_axis_crossings(fig_tunneling)) >= 3  # both charts are used
 
     def test_retained_samples_respect_drift_limit(self, fig_tunneling):
         limit = fig_tunneling.config.energy_drift_limit
