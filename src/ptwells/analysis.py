@@ -61,8 +61,7 @@ __all__ = [
 
 DEFAULT_RECURRENCE_TOL = 1e-4
 
-# Default bracket the separatrix must lie in, and the two probes' spread.
-BOUNDARY_BRACKET = (0.30, 0.80)
+# Default spread of the two boundary probes about the separatrix.
 BOUNDARY_WIDTH = 1e-4
 
 # separatrix_offset's DP5 tolerances (~1e-14 off a 30-digit leaf) and step budget
@@ -437,15 +436,13 @@ def closed_orbit_boundary(
     params: SystemParams,
     cfg: IntegratorConfig = PROBE_CONFIG,
     direction: int = 1,
-    bracket: tuple[float, float] = BOUNDARY_BRACKET,
     width_tol: float = BOUNDARY_WIDTH,
 ) -> BoundaryResult:
     """The critical y-offset from a well center at real energy,
     :func:`separatrix_offset`, confirmed by two probes.
 
-    A separatrix outside ``bracket`` raises BracketingError before any
-    probe.  The probes start at the well's x, width_tol/2 below and above
-    the separatrix in Im z (signed by ``direction``).  The lower must end
+    The probes start at the well's x, width_tol/2 below and above the
+    separatrix in Im z (signed by ``direction``).  The lower must end
     closed, by its first return (``RETURNED``) or at t_max in its cell; the
     upper open, leaving its cell (``ESCAPED``: Im z moves pi/2, on its first
     whip down the well column).  Otherwise a BracketingError reports both;
@@ -456,10 +453,6 @@ def closed_orbit_boundary(
     if not (math.isfinite(width_tol) and width_tol > 0):
         raise DomainError(f"width_tol must be finite and > 0, got {width_tol!r}")
     sep = separatrix_offset(params, energy_real)
-    if not bracket[0] <= sep <= bracket[1]:
-        raise BracketingError(
-            f"separatrix {sep!r} lies outside bracket {bracket!r}: offsets below it are closed, above it open"
-        )
     center = well_center(idx, params)
     lo, hi = sep - 0.5 * width_tol, sep + 0.5 * width_tol
     ends: list[Termination] = []

@@ -5,7 +5,8 @@ Subcommands: ``simulate``, ``sweep-e2``, ``threshold``, ``wells``,
 ``a+bi`` with decimal reals (e.g. ``1+1i``, ``0.8``, ``-2.5i``).  A JSON
 config file (``--config``) may supply any flag value; explicit flags win.
 Its keys are the flag names with underscores for hyphens and ``m`` for
-``--M`` (``rel_tol``, ``summary_out``); an unknown key is a config error.
+``--M`` (``rel_tol``, ``summary_out``); an unknown key is a config error,
+and each value is converted and checked as its flag's value is.
 Each subcommand starts from one integrator preset (``run_preset`` for
 ``simulate`` and each ``sweep-e2`` row, ``analysis.PROBE_CONFIG`` for
 ``threshold``); the integrator flags and config keys override its fields.
@@ -22,13 +23,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .analysis import (
-    BOUNDARY_BRACKET,
     BOUNDARY_WIDTH,
     PROBE_CONFIG,
     OrbitClass,
@@ -72,8 +71,10 @@ TAU_SCALE = 16.0
 TMAX_FLOOR = 200.0
 
 # A step's energy error, measured in z, grows as 1/|w|^2 on a whip's pass
-# near w = 0; on the longest table row (E2 = 0.3) it reaches 3.8e-8.  The
-# relaxed guard keeps such rows and still catches real blow-ups.
+# near w = 0.  Over the 27 table rows it peaks at 3.56e-7 (E2 = 1.0; 2.05e-7
+# at 1.2, 3.8e-8 at 0.3), over the eight well-pair map runs at 6.8e-8.  A
+# limit of 1e-6 would leave a margin of only 2.8x; the relaxed guard keeps
+# such rows and still catches real blow-ups.
 TUNNELING_DRIFT_LIMIT = 1e-3
 TUNNELING_ESCAPE_RADIUS = 12.0
 
@@ -90,29 +91,18 @@ INTEGRATOR_FIELDS = {
 
 
 def parse_complex(text: str) -> complex:
-    """Parse ``a+bi`` literals: '1+1i', '0.8', '-2.5i', '3.2e-1-0.4i'."""
+    """Parse ``a+bi`` literals: '1+1i', '0.8', '-2.5i', '3.2e-1-0.4i'.
+
+    The trailing ``i`` becomes Python's ``j`` and ``complex()`` reads the
+    rest; a literal that already holds a ``j`` is refused.
+    """
     s = text.strip().replace(" ", "")
-    if not s:
-        raise DomainError("empty complex literal")
+    if "j" in s.lower():
+        raise DomainError(f"bad complex literal {text!r}")
     if s.endswith(("i", "I")):
-        body = s[:-1]
-        # split into real part and trailing signed imaginary coefficient
-        m = re.match(
-            r"^(?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?(?P<im>[+-]?(?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)$",
-            body,
-        )
-        if m is None or (m.group("re") is None and m.group("im") is None):
-            raise DomainError(f"bad complex literal {text!r}")
-        re_part = m.group("re")
-        im_part = m.group("im")
-        if im_part is None or im_part == "":
-            # the whole body was the imaginary coefficient
-            re_part, im_part = None, re_part
-        if im_part in ("+", "-"):
-            im_part += "1"
-        return complex(float(re_part) if re_part else 0.0, float(im_part) if im_part else 1.0)
+        s = s[:-1] + "j"
     try:
-        return complex(float(s))
+        return complex(s)
     except ValueError as exc:
         raise DomainError(f"bad complex literal {text!r}") from exc
 
@@ -379,14 +369,11 @@ def cmd_threshold(
     params: SystemParams,
     energy_real: float,
     idx: WellIndex,
-    direction: int = 1,
-    bracket: tuple[float, float] = BOUNDARY_BRACKET,
-    width_tol: float = BOUNDARY_WIDTH,
-    cfg: IntegratorConfig = PROBE_CONFIG,
+    direction: int,
+    width_tol: float,
+    cfg: IntegratorConfig,
 ) -> dict:
-    res = closed_orbit_boundary(
-        idx, energy_real, params, cfg=cfg, direction=direction, bracket=bracket, width_tol=width_tol
-    )
+    res = closed_orbit_boundary(idx, energy_real, params, cfg=cfg, direction=direction, width_tol=width_tol)
     return {
         "side": idx.side.value,
         "n": idx.n,
@@ -422,10 +409,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _load_file_config(path: str | None, keys: set[str]) -> dict:
-    """The JSON object in ``path``; every key must be one of ``keys``."""
-    if not path:
-        return {}
+def _load_config(path: str, p: argparse.ArgumentParser) -> dict:
+    """The JSON object in ``path`` as values of the flags of subcommand ``p``.
+
+    Every key must be the destination of one of ``p``'s flags.  Each value
+    is converted by that flag's ``type`` and checked against its
+    ``choices``, as the flag's own value would be.
+    """
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -433,39 +423,32 @@ def _load_file_config(path: str | None, keys: set[str]) -> dict:
         raise DomainError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(data, dict):
         raise DomainError(f"config {path!r} must hold a JSON object")
-    unknown = sorted(set(data) - keys)
+    flags = {a.dest: a for a in p._actions if a.dest not in ("help", "config")}
+    unknown = sorted(set(data) - set(flags))
     if unknown:
         raise DomainError(
-            f"config {path!r}: unknown key(s) {', '.join(map(repr, unknown))}; known: {', '.join(sorted(keys))}"
+            f"config {path!r}: unknown key(s) {', '.join(map(repr, unknown))}; known: {', '.join(sorted(flags))}"
         )
-    return data
+    values = {}
+    for key, raw in data.items():
+        flag = flags[key]
+        try:
+            value = raw if flag.type is None else flag.type(str(raw))
+        except ValueError as exc:
+            raise DomainError(f"bad {key} {raw!r}") from exc
+        if flag.choices is not None and value not in flag.choices:
+            raise DomainError(f"bad {key} {raw!r}")
+        values[key] = value
+    return values
 
 
-def _pick(flag_value, file_config: dict, key: str, default, kind=None):
-    """The flag's value, else the config file's, else ``default``; ``kind``
-    converts a given value, and a value it rejects is a config error."""
-    value = flag_value if flag_value is not None else file_config.get(key)
-    if value is None or kind is None:
-        return default if value is None else value
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"bad {key} {value!r}") from exc
-
-
-def _float_list(raw, name: str) -> list[float]:
+def _e2_list(raw) -> list[float]:
     """Numbers from a comma-separated string or a JSON list; anything else is a config error."""
     items = raw.split(",") if isinstance(raw, str) else raw
     try:
         return [float(v) for v in items if str(v).strip()]
     except (TypeError, ValueError) as exc:
-        raise DomainError(f"bad {name} {raw!r}: want comma-separated numbers") from exc
-
-
-def _integrator_overrides(args, file_config: dict) -> dict:
-    """IntegratorConfig fields set by a flag or, failing that, by a config key."""
-    picked = {key: _pick(getattr(args, key), file_config, key, None, kind) for key, kind in INTEGRATOR_FIELDS.items()}
-    return {key: v for key, v in picked.items() if v is not None}
+        raise DomainError(f"bad e2 {raw!r}: want comma-separated numbers") from exc
 
 
 def _add_integrator_flags(p: argparse.ArgumentParser) -> None:
@@ -481,9 +464,9 @@ def main(argv: list[str] | None = None) -> int:
     p_sim.add_argument("--config", help="JSON file with flag defaults")
     p_sim.add_argument("--zeta", type=float)
     p_sim.add_argument("--M", dest="m", type=int)
-    p_sim.add_argument("--e", help="complex energy, e.g. 1+1i")
-    p_sim.add_argument("--start", help="origin | well:<side>,<n> | point:<re>,<im>")
-    p_sim.add_argument("--branch", choices=[b.value for b in MomentumBranch])
+    p_sim.add_argument("--e", type=str, help="complex energy, e.g. 1+1i")
+    p_sim.add_argument("--start", type=str, default="origin", help="origin | well:<side>,<n> | point:<re>,<im>")
+    p_sim.add_argument("--branch", choices=[b.value for b in MomentumBranch], default="principal")
     p_sim.add_argument("--trajectory-out", dest="trajectory_out")
     p_sim.add_argument("--events-out", dest="events_out")
     p_sim.add_argument("--summary-out", dest="summary_out")
@@ -493,7 +476,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument("--config", help="JSON file with flag defaults")
     p_sweep.add_argument("--zeta", type=float)
     p_sweep.add_argument("--M", dest="m", type=int)
-    p_sweep.add_argument("--e1", type=float)
+    p_sweep.add_argument("--e1", type=float, default=1.0)
     p_sweep.add_argument("--e2", help="comma-separated E2 values")
     p_sweep.add_argument("--out", help="sweep CSV path")
     p_sweep.add_argument("--workers", type=int)
@@ -504,11 +487,12 @@ def main(argv: list[str] | None = None) -> int:
     p_thr.add_argument("--zeta", type=float)
     p_thr.add_argument("--M", dest="m", type=int)
     p_thr.add_argument("--e", type=float, help="real energy")
-    p_thr.add_argument("--side", choices=[s.value for s in Side])
-    p_thr.add_argument("--n", type=int)
-    p_thr.add_argument("--direction", type=int, choices=[1, -1])
-    p_thr.add_argument("--bracket", help="lo,hi offsets the separatrix must lie in (default %s,%s)" % BOUNDARY_BRACKET)
-    p_thr.add_argument("--width", type=float, help=f"probe spread about the separatrix (default {BOUNDARY_WIDTH})")
+    p_thr.add_argument("--side", choices=[s.value for s in Side], default="left")
+    p_thr.add_argument("--n", type=int, default=0)
+    p_thr.add_argument("--direction", type=int, choices=[1, -1], default=1)
+    p_thr.add_argument(
+        "--width", type=float, default=BOUNDARY_WIDTH, help="probe spread about the separatrix (default %(default)s)"
+    )
     _add_integrator_flags(p_thr)
 
     p_wells = sub.add_parser("wells", help="well lattice table as CSV")
@@ -526,7 +510,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        return _dispatch(args, _config_keys(sub.choices[args.command]))
+        if getattr(args, "config", None):
+            # the file's values become flag defaults, so a flag given on the command line still wins
+            p_cmd = sub.choices[args.command]
+            p_cmd.set_defaults(**_load_config(args.config, p_cmd))
+            args = parser.parse_args(argv)
+        return _dispatch(args)
     except (DomainError, UnsupportedOrderError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -541,45 +530,35 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERICAL
 
 
-def _config_keys(p: argparse.ArgumentParser) -> set[str]:
-    """Config-file keys of a subcommand: the destinations of its flags."""
-    return {a.dest for a in p._actions if a.dest not in ("help", "config")}
+def _require(args, energy_flag: str) -> None:
+    """A run needs zeta, M and its energy, each from a flag or the config file."""
+    if None in (args.zeta, args.m, getattr(args, energy_flag)):
+        raise DomainError(f"{args.command} needs --zeta, --M and --{energy_flag} (flags or config file)")
 
 
-def _dispatch(args, config_keys: set[str]) -> int:
-    if args.command in ("simulate", "sweep-e2", "threshold"):
-        file_config = _load_file_config(args.config, config_keys)
-        zeta = _pick(args.zeta, file_config, "zeta", None, float)
-        m = _pick(args.m, file_config, "m", None, int)
+def _dispatch(args) -> int:
+    # IntegratorConfig fields set by a flag or a config key
+    overrides = {key: v for key, v in vars(args).items() if key in INTEGRATOR_FIELDS and v is not None}
 
     if args.command == "simulate":
-        e_raw = _pick(args.e, file_config, "e", None)
-        if zeta is None or m is None or e_raw is None:
-            raise DomainError("simulate needs --zeta, --M and --e (flags or config file)")
-        energy = parse_complex(str(e_raw))
+        _require(args, "e")
+        energy = parse_complex(args.e)
         config = RunConfig(
-            params=SystemParams(zeta, m),
+            params=SystemParams(args.zeta, args.m),
             energy=energy,
-            start=_pick(args.start, file_config, "start", "origin", str),
-            branch=_pick(args.branch, file_config, "branch", MomentumBranch.PRINCIPAL, MomentumBranch),
-            integrator=replace(run_preset(energy), **_integrator_overrides(args, file_config)),
-            trajectory_path=_pick(args.trajectory_out, file_config, "trajectory_out", None),
-            events_path=_pick(args.events_out, file_config, "events_out", None),
-            summary_path=_pick(args.summary_out, file_config, "summary_out", None),
+            start=args.start,
+            branch=MomentumBranch(args.branch),
+            integrator=replace(run_preset(energy), **overrides),
+            trajectory_path=args.trajectory_out,
+            events_path=args.events_out,
+            summary_path=args.summary_out,
         )
         return cmd_simulate(config)
 
     if args.command == "sweep-e2":
-        e1 = _pick(args.e1, file_config, "e1", 1.0, float)
-        e2_raw = _pick(args.e2, file_config, "e2", None)
-        if zeta is None or m is None or e2_raw is None:
-            raise DomainError("sweep-e2 needs --zeta, --M and --e2 (flags or config file)")
-        e2_list = _float_list(e2_raw, "e2")
-        params = SystemParams(zeta, m)
-        overrides = _integrator_overrides(args, file_config)
-        out_path = _pick(args.out, file_config, "out", None)
-        workers = _pick(args.workers, file_config, "workers", None, int)
-        rows = cmd_sweep_e2(params, e1, e2_list, overrides, out_path, workers=workers)
+        _require(args, "e2")
+        params = SystemParams(args.zeta, args.m)
+        rows = cmd_sweep_e2(params, args.e1, _e2_list(args.e2), overrides, args.out, workers=args.workers)
         failed = [r for r in rows if r["error"]]
         for r in rows:
             tau = "" if r["tau"] is None else f"{r['tau']:.6g}"
@@ -587,23 +566,14 @@ def _dispatch(args, config_keys: set[str]) -> int:
         return EXIT_NUMERICAL if len(failed) == len(rows) else EXIT_OK
 
     if args.command == "threshold":
-        e_v = _pick(args.e, file_config, "e", None, float)
-        side = _pick(args.side, file_config, "side", Side.LEFT, Side)
-        n = _pick(args.n, file_config, "n", 0, int)
-        if zeta is None or m is None or e_v is None:
-            raise DomainError("threshold needs --zeta, --M and --e (flags or config file)")
-        bracket_raw = _pick(args.bracket, file_config, "bracket", None)
-        bracket = BOUNDARY_BRACKET if bracket_raw is None else tuple(_float_list(bracket_raw, "bracket"))
-        if len(bracket) != 2:
-            raise DomainError(f"bad bracket {bracket_raw!r}: want lo,hi")
+        _require(args, "e")
         result = cmd_threshold(
-            SystemParams(zeta, m),
-            e_v,
-            WellIndex(side, n),
-            direction=_pick(args.direction, file_config, "direction", 1, int),
-            bracket=bracket,
-            width_tol=_pick(args.width, file_config, "width", BOUNDARY_WIDTH, float),
-            cfg=replace(PROBE_CONFIG, **_integrator_overrides(args, file_config)),
+            SystemParams(args.zeta, args.m),
+            args.e,
+            WellIndex(Side(args.side), args.n),
+            direction=args.direction,
+            width_tol=args.width,
+            cfg=replace(PROBE_CONFIG, **overrides),
         )
         print(json.dumps(result))
         return EXIT_OK

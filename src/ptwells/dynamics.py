@@ -68,8 +68,10 @@ def flow(params: SystemParams) -> Callable[[complex, complex], tuple[complex, co
     dz/dt = 2p and dp/dt = -dV/dz = 4 zeta sinh(2z) bracket, with
     bracket = zeta cosh(2z) - iM and V = -bracket^2.  cosh(2x + 2iy) =
     cosh2x cos2y + i sinh2x sin2y and the analogous identity for sinh
-    share four real evaluations, which halves the libm work in the
-    integrator's hot loop.  A cosh or sinh overflow raises
+    share four real evaluations.  It serves the quantities evaluated in z:
+    :func:`potential`, :func:`potential_gradient`, ``integrator.derivative``
+    and the slopes of the integrator's return watch; the integration loop
+    steps :func:`chart_flow`.  A cosh or sinh overflow raises
     NonFiniteStateError.
     """
     zeta = params.zeta

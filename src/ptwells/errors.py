@@ -34,4 +34,5 @@ class DegenerateWindingError(PtwellsError, ValueError):
 
 
 class BracketingError(PtwellsError, RuntimeError):
-    """A bisection bracket has endpoints of the same classification."""
+    """Boundary probes disagree with the separatrix: the probe below it
+    escaped, or the probe above it did not."""

@@ -286,18 +286,6 @@ class TestReturnStop:
 
 
 class TestBoundary:
-    def test_bracket_failure_reports_both(self):
-        with pytest.raises(BracketingError) as exc_info:
-            closed_orbit_boundary(
-                WellIndex(Side.LEFT, 0),
-                0.8,
-                P,
-                cfg=IntegratorConfig(t_max=30.0, escape_radius=4.0),
-                bracket=(0.10, 0.20),
-            )
-        msg = str(exc_info.value)
-        assert "closed" in msg and "0.2" in msg
-
     def test_direction_validation(self):
         with pytest.raises(DomainError):
             closed_orbit_boundary(WellIndex(Side.LEFT, 0), 0.8, P, direction=2)
@@ -318,14 +306,6 @@ class TestBoundary:
         lower = separatrix_offset(P, 0.8) - 0.5 * BOUNDARY_WIDTH
         assert f"offset {lower!r} " in msg and "drift_exceeded" in msg
         assert len(calls) == 1
-
-    def test_separatrix_outside_bracket_runs_no_probe(self, monkeypatch):
-        calls = _count_integrations(monkeypatch)
-        with pytest.raises(BracketingError) as exc_info:
-            closed_orbit_boundary(WellIndex(Side.LEFT, 0), 0.8, P, bracket=(0.6, 0.8))
-        msg = str(exc_info.value)
-        assert f"separatrix {separatrix_offset(P, 0.8)!r}" in msg and "(0.6, 0.8)" in msg
-        assert calls == []
 
     def test_wrong_probe_class_raises(self):
         # a cell this narrow lets the closed probe escape too

@@ -19,6 +19,7 @@ from ptwells.cli import (
 )
 
 CLOSED_START = "point:-2.047311112165265,-0.3113981633974483"  # 0.474 above left n=0
+COMMANDS = ("simulate", "sweep-e2", "threshold")  # the subcommands that read a config file
 
 
 class TestParseComplex:
@@ -39,7 +40,7 @@ class TestParseComplex:
     def test_literals(self, text, value):
         assert parse_complex(text) == pytest.approx(value)
 
-    @pytest.mark.parametrize("text", ["", "abc", "1+2j+3", "++i"])
+    @pytest.mark.parametrize("text", ["", "abc", "1+2j+3", "++i", "e5i", "1..2i"])
     def test_rejects_garbage(self, text):
         with pytest.raises(DomainError):
             parse_complex(text)
@@ -293,6 +294,37 @@ class TestConfigFile:
         assert "config error" in err and f"bad {bad} {keys[bad]!r}" in err
 
 
+    @pytest.mark.parametrize(
+        "command,key,value",
+        [
+            *[(command, key, "x") for command in COMMANDS for key in ("zeta", *cli.INTEGRATOR_FIELDS)],
+            *[(command, "m", 3.5) for command in COMMANDS],
+            ("simulate", "branch", "sideways"),
+            ("sweep-e2", "e1", "one"),
+            ("sweep-e2", "workers", 1.5),
+            ("threshold", "e", "0.8+0.1i"),
+            ("threshold", "side", "up"),
+            ("threshold", "n", 0.5),
+            ("threshold", "direction", 2),
+            ("threshold", "width", "wide"),
+        ],
+    )
+    def test_every_value_is_checked_as_its_flag(self, command, key, value, tmp_path, monkeypatch, capsys):
+        # a config value is converted by its flag's type and checked against
+        # its choices, as the flag's own value would be
+        def never(*args, **kwargs):
+            pytest.fail("the run went ahead despite a bad config value")
+
+        monkeypatch.setattr(cli, "run_simulation", never)
+        monkeypatch.setattr(cli, "cmd_sweep_e2", never)
+        monkeypatch.setattr(cli, "closed_orbit_boundary", never)
+        energy = {"simulate": {"e": "0.8"}, "sweep-e2": {"e2": "1.0"}, "threshold": {"e": 0.8}}[command]
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"zeta": 0.1, "m": 3, **energy, key: value}))
+        assert main([command, "--config", str(cfg_path)]) == EXIT_USAGE
+        assert f"config error: bad {key} {value!r}\n" in capsys.readouterr().err
+
+
 class TestPoolSizing:
     def test_one_usable_cpu_runs_in_process(self, monkeypatch):
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -310,13 +342,12 @@ class TestPoolSizing:
 
 class TestThresholdCommand:
     def test_bracket_failure_exit(self, capsys):
-        args = [
-            "threshold", "--zeta", "0.1", "--M", "3", "--e", "0.8",
-            "--side", "left", "--n", "0", "--bracket", "0.10,0.20",
-            "--t-max", "30", "--escape-radius", "4",
-        ]
+        # the upper probe cannot leave its cell this soon, so the probes
+        # do not confirm the separatrix
+        args = ["threshold", "--zeta", "0.1", "--M", "3", "--e", "0.8", "--t-max", "0.3"]
         assert main(args) == EXIT_NUMERICAL
-        assert "bracket" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "bracket failure" in err and "probes do not confirm the separatrix" in err
 
     def test_coarse_search_reports_bracket(self, capsys):
         args = [
@@ -337,12 +368,7 @@ class TestThresholdCommand:
 
     @pytest.mark.parametrize(
         "command,flags",
-        [
-            ("threshold", ["--e", "0.8", "--bracket", "0.3"]),
-            ("threshold", ["--e", "0.8", "--bracket", "a,b"]),
-            ("threshold", ["--e", "0.8", "--bracket", "0.3,0.5,0.8"]),
-            ("sweep-e2", ["--e2", "abc"]),
-        ],
+        [("sweep-e2", ["--e2", "abc"])],
     )
     def test_bad_number_list_is_a_config_error(self, command, flags, monkeypatch, capsys):
         def never(*args, **kwargs):
