@@ -406,20 +406,20 @@ def separatrix_offset(params: SystemParams, energy_real: float) -> float:
     s' = -2 zeta, so the offset (arg s + pi/2)/2 holds for every well and both
     directions.
     """
-    rhs = chart_flow(params, complex(energy_real))
+    accel = chart_flow(params, complex(energy_real))
     r_w = math.exp(-math.asinh(params.m_int / params.zeta))
     w, v = 0j, complex(2.0 * params.zeta)
-    a = rhs(w, v)[1]
+    a = accel(w)[0]
     h = 1e-3
     for _ in range(_LEAF_MAX_STEPS):
-        wn, vn, an, _, err = chart_step(rhs, w, v, a, h, _LEAF_ATOL, _LEAF_RTOL)
+        wn, vn, an, _, err = chart_step(accel, w, v, a, h, _LEAF_ATOL, _LEAF_RTOL)
         if err > 1.0:
             h *= max(0.2, 0.9 * err**-0.2)
             continue
         if abs(wn) >= r_w:
             for _ in range(8):  # Newton on the step length; d|w|/dh = Re(conj(w) w') / |w|
                 h -= (abs(wn) - r_w) * abs(wn) / (wn.conjugate() * vn).real
-                wn, vn = chart_step(rhs, w, v, a, h, _LEAF_ATOL, _LEAF_RTOL)[:2]
+                wn, vn = chart_step(accel, w, v, a, h, _LEAF_ATOL, _LEAF_RTOL)[:2]
             if abs(abs(wn) - r_w) <= 1e-14 * r_w:
                 return 0.5 * (cmath.phase(wn) + 0.5 * math.pi)
             break
@@ -564,27 +564,22 @@ def self_intersections(traj: Trajectory) -> int:
 
     lo = np.floor(np.minimum(pts[:-1], pts[1:]) / cell).astype(np.int64)
     hi = np.floor(np.maximum(pts[:-1], pts[1:]) / cell).astype(np.int64)
-
-    grid: dict[tuple[int, int], list[int]] = {}
-    for i in range(n_seg):
-        for cx in range(lo[i, 0], hi[i, 0] + 1):
-            for cy in range(lo[i, 1], hi[i, 1] + 1):
-                grid.setdefault((cx, cy), []).append(i)
-
-    keys: set[int] = set()
-    for members in grid.values():
-        m = len(members)
-        if m < 2:
-            continue
-        for ai in range(m - 1):
-            i = members[ai]
-            for bi in range(ai + 1, m):
-                j = members[bi]
-                if j - i > 1:
-                    keys.add(i * n_seg + j)
-                elif i - j > 1:
-                    keys.add(j * n_seg + i)
-    if not keys:
-        return 0
-    karr = np.fromiter(keys, dtype=np.int64, count=len(keys))
-    return _proper_crossings(pts, karr // n_seg, karr % n_seg)
+    nx, ny = (hi - lo + 1).T
+    # one entry per (segment, cell of its bounding box), in segment order
+    seg = np.repeat(np.arange(n_seg), nx * ny)
+    r = np.arange(len(seg)) - np.repeat(np.cumsum(nx * ny) - nx * ny, nx * ny)
+    cx, cy = lo[seg, 0] + r % nx[seg], lo[seg, 1] + r // nx[seg]
+    order = np.argsort((cx - lo[:, 0].min()) * (hi[:, 1].max() - lo[:, 1].min() + 1) + cy, kind="stable")
+    seg, cx, cy = seg[order], cx[order], cy[order]
+    # entries d apart in a run of one cell are the pairs (i, j), i < j, of that
+    # cell; each pair is taken once, in the lowest cell the two boxes share
+    pairs = []
+    at, d = np.arange(len(seg)), 1
+    while len(at):
+        at = at[at + d < len(seg)]
+        at = at[(cx[at + d] == cx[at]) & (cy[at + d] == cy[at])]
+        i, j = seg[at], seg[at + d]
+        lowest = (cx[at] == np.maximum(lo[i, 0], lo[j, 0])) & (cy[at] == np.maximum(lo[i, 1], lo[j, 1]))
+        pairs.append((i[lowest & (j - i > 1)], j[lowest & (j - i > 1)]))
+        d += 1
+    return _proper_crossings(pts, *(np.concatenate(x) for x in zip(*pairs)))

@@ -414,7 +414,7 @@ def _load_config(path: str, p: argparse.ArgumentParser) -> dict:
 
     Every key must be the destination of one of ``p``'s flags.  Each value
     is converted by that flag's ``type`` and checked against its
-    ``choices``, as the flag's own value would be.
+    ``choices``, as the flag's own value would be; one without a type takes a string (``e2`` also a list).
     """
     try:
         with open(path) as fh:
@@ -432,6 +432,8 @@ def _load_config(path: str, p: argparse.ArgumentParser) -> dict:
     values = {}
     for key, raw in data.items():
         flag = flags[key]
+        if flag.type is None and not (isinstance(raw, str) or key == "e2" and isinstance(raw, list)):
+            raise DomainError(f"bad {key} {raw!r}")
         try:
             value = raw if flag.type is None else flag.type(str(raw))
         except ValueError as exc:

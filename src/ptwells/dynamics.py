@@ -97,9 +97,9 @@ def flow(params: SystemParams) -> Callable[[complex, complex], tuple[complex, co
     return rhs
 
 
-def chart_flow(params: SystemParams, energy: complex) -> Callable[[complex, complex], tuple[complex, complex, complex]]:
+def chart_flow(params: SystemParams, energy: complex) -> Callable[[complex], tuple[complex, complex]]:
     """The flow in the chart w = e^{2z} at energy E as one scalar kernel:
-    (w, w') -> (w', w'' = 2 Q'(w), Q(w)), with Q(w) = 4E w^2 + (zeta w^2 - 2iM w + zeta)^2.
+    w -> (w'' = 2 Q'(w), Q(w)), with Q(w) = 4E w^2 + (zeta w^2 - 2iM w + zeta)^2.
 
     On the shell H = E, w' = 4wp and w'^2 = 4 Q(w).  Re z = -inf is the regular
     point w = 0.  The chart w = e^{-2z} has the same flow, since w^4 Q(1/w) = Q(w).
@@ -111,12 +111,12 @@ def chart_flow(params: SystemParams, energy: complex) -> Callable[[complex, comp
     e4 = 4.0 * energy
     e16 = 16.0 * energy
 
-    def rhs(w: complex, v: complex) -> tuple[complex, complex, complex]:
+    def accel(w: complex) -> tuple[complex, complex]:
         zw = zeta * w
         b = (zw - i_2m) * w + zeta
-        return v, e16 * w + 8.0 * b * (zw - i_m), e4 * w * w + b * b
+        return e16 * w + 8.0 * b * (zw - i_m), e4 * w * w + b * b
 
-    return rhs
+    return accel
 
 
 def potential(z: complex, params: SystemParams) -> complex:

@@ -6,11 +6,14 @@ w = e^{-2z} right of it, where the flow is the polynomial w'' = 2 Q'(w)
 and Re z = -/+inf is the regular point w = 0.  The whips of the paper's
 orbits, out to Re z ~ -7 where the cosh flow is exponentially steep, are
 passes near w = 0.  An embedded Dormand-Prince 5(4) pair (FSAL) under PI
-step control advances (w, w'); at |w| > 1 the loop changes chart,
-w -> 1/w and w' -> -w'/w^2.  A step that changes ln w by more than 1 in
-its real or imaginary part is rejected and halved: the integer count k
-of turns about w = 0 then stays exact, and approaches to w = 0 are
-resolved.  Each accepted step emits the sample
+step control advances (w, w') in Nystrom form (Hairer, Norsett & Wanner,
+*Solving ODEs I*, II.14): w'' does not depend on w', so the stages, the new
+w and its error are sums of the stage accelerations weighted by A^2, bA and
+eA of the same tableau, and the steps are the first-order pair's up to
+rounding.  At |w| > 1 the loop changes chart, w -> 1/w and w' -> -w'/w^2.
+A step that turns w by more than 1 rad, or scales |w| by more than e, is
+rejected and halved: the integer count k of turns about w = 0 then stays
+exact, and approaches to w = 0 are resolved.  Each accepted step emits the sample
 z = c (ln|w| + i (arg w + 2 pi k)) / 2, p = c w' / (4w), with c = +1 on
 the left chart and -1 on the right.
 
@@ -36,6 +39,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction as F
 
 import numpy as np
 
@@ -235,38 +239,57 @@ def _hermite_closest(a, ma, b, mb, tol: float) -> float | None:
     return s if math.sqrt(_norm_sq(*(complex(np.polyval(c, s)) for c in coef))) <= tol else None
 
 
-# Dormand-Prince 5(4): stage rows, fifth-order weights (the 7th stage is
-# taken there, FSAL) and the error weights of stages 1-7.
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
+# Dormand-Prince 5(4): the stage rows, the last being the fifth-order weights b
+# (the 7th stage is taken at the new point, FSAL), and the error weights e.
+_DP5_ROWS = (
+    (F(1, 5),),
+    (F(3, 40), F(9, 40)),
+    (F(44, 45), F(-56, 15), F(32, 9)),
+    (F(19372, 6561), F(-25360, 2187), F(64448, 6561), F(-212, 729)),
+    (F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176), F(-5103, 18656)),
+    (F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84)),
+)
+_DP5_ERR = (F(71, 57600), F(0), F(-71, 16695), F(71, 1920), F(-17253, 339200), F(22, 525), F(-1, 40))
 
 
-def chart_step(rhs, w: complex, v: complex, a: complex, h: float, atol: float, rtol: float):
-    """One DP5 step of w'' = 2 Q'(w) under the chart kernel ``rhs`` from
-    (w, w'), where w'' = a: the new w, w', w'' and Q(w), and the RMS of the
+def _nystrom_rows():
+    """c, A^2 and eA of the DP5 rows, as floats.  For w'' = g(w), stage i sits at
+    w + c_i h w' + h^2 sum_l (A^2)_il g(stage l); the new w is row 7 (A's last
+    row is b, sum b = 1), and the error of w is h^2 sum_l (eA)_l g(stage l)."""
+    a = [[F(0)] * 7] + [[*row] + [F(0)] * (7 - len(row)) for row in _DP5_ROWS]
+    a2 = [[sum(a[i][j] * a[j][l] for j in range(7)) for l in range(7)] for i in range(7)]
+    ea = [sum(e * a[j][l] for j, e in enumerate(_DP5_ERR)) for l in range(7)]
+    return [float(sum(r)) for r in a], [[float(x) for x in r] for r in a2], [float(x) for x in ea]
+
+
+_C, _AA, _EA = _nystrom_rows()
+_C2, _C3, _C4, _C5 = _C[1:5]
+# row i of A^2 is 0 from column i - 1 on; b A has no a_2 or a_6 term, eA no a_2 or a_7 term
+_A31, _A41, _A42, _A51, _A52, _A53, _A61, _A62, _A63, _A64 = (x for i in (2, 3, 4, 5) for x in _AA[i][: i - 1])
+_W1, _, _W3, _W4, _W5 = _AA[6][:5]
+_EW1, _, _EW3, _EW4, _EW5, _EW6 = _EA[:6]
+_B1, _, _B3, _B4, _B5, _B6 = map(float, _DP5_ROWS[-1])
+_E1, _, _E3, _E4, _E5, _E6, _E7 = map(float, _DP5_ERR)
+
+
+def chart_step(accel, w: complex, v: complex, a: complex, h: float, atol: float, rtol: float):
+    """One DP5 step of w'' = 2 Q'(w) in Nystrom form under the chart kernel ``accel``
+    from (w, w'), where w'' = a: the new w, w', w'' and Q(w), and the RMS of the
     error estimates of w and w', each over atol + rtol times its larger end."""
-    v2 = v + h * (_A21 * a)
-    a2 = rhs(w + h * (_A21 * v), v2)[1]
-    v3 = v + h * (_A31 * a + _A32 * a2)
-    a3 = rhs(w + h * (_A31 * v + _A32 * v2), v3)[1]
-    v4 = v + h * (_A41 * a + _A42 * a2 + _A43 * a3)
-    a4 = rhs(w + h * (_A41 * v + _A42 * v2 + _A43 * v3), v4)[1]
-    v5 = v + h * (_A51 * a + _A52 * a2 + _A53 * a3 + _A54 * a4)
-    a5 = rhs(w + h * (_A51 * v + _A52 * v2 + _A53 * v3 + _A54 * v4), v5)[1]
-    v6 = v + h * (_A61 * a + _A62 * a2 + _A63 * a3 + _A64 * a4 + _A65 * a5)
-    a6 = rhs(w + h * (_A61 * v + _A62 * v2 + _A63 * v3 + _A64 * v4 + _A65 * v5), v6)[1]
-    wn = w + h * (_B1 * v + _B3 * v3 + _B4 * v4 + _B5 * v5 + _B6 * v6)
+    hv = h * v
+    hh = h * h
+    a2 = accel(w + _C2 * hv)[0]
+    a3 = accel(w + _C3 * hv + hh * (_A31 * a))[0]
+    a4 = accel(w + _C4 * hv + hh * (_A41 * a + _A42 * a2))[0]
+    a5 = accel(w + _C5 * hv + hh * (_A51 * a + _A52 * a2 + _A53 * a3))[0]
+    a6 = accel(w + hv + hh * (_A61 * a + _A62 * a2 + _A63 * a3 + _A64 * a4))[0]
+    wn = w + hv + hh * (_W1 * a + _W3 * a3 + _W4 * a4 + _W5 * a5)
     vn = v + h * (_B1 * a + _B3 * a3 + _B4 * a4 + _B5 * a5 + _B6 * a6)
-    _, an, qn = rhs(wn, vn)
-    err_w = abs(h * (_E1 * v + _E3 * v3 + _E4 * v4 + _E5 * v5 + _E6 * v6 + _E7 * vn))
-    err_v = abs(h * (_E1 * a + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6 + _E7 * an))
-    err_w /= atol + rtol * max(abs(w), abs(wn))
-    err_v /= atol + rtol * max(abs(v), abs(vn))
+    an, qn = accel(wn)
+    x, y, s, u = abs(w), abs(wn), abs(v), abs(vn)  # the larger of each pair below, without the slower max()
+    err_w = abs(_EW1 * a + _EW3 * a3 + _EW4 * a4 + _EW5 * a5 + _EW6 * a6) * hh / (atol + rtol * (x if x > y else y))
+    err_v = abs(_E1 * a + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6 + _E7 * an) * h
+    err_v /= atol + rtol * (s if s > u else u)
     return wn, vn, an, qn, math.sqrt(0.5 * (err_w * err_w + err_v * err_v))
 
 
@@ -276,19 +299,10 @@ _BETA = 0.04
 _EXPO1 = 0.2 - 0.75 * _BETA
 # largest change of ln w, real or imaginary, in one accepted step
 _MAX_DLOG = 1.0
+_MAX_RATIO = math.exp(_MAX_DLOG)
 # 2 pi as a double plus its rounding error, so that 2 pi k keeps its digits
 _TWO_PI = 2.0 * math.pi
 _TWO_PI_LO = 2.4492935982947064e-16
-
-
-def _project(w: complex, v: complex, a: complex, q: complex) -> tuple[complex, complex, complex]:
-    """(w, w') moved onto the shell I = w'^2 - 4 Q(w) = 0 by one Newton step,
-    given w'' = 2 Q'(w) = a and Q(w) = q, and the residual I before it."""
-    res = v * v - 4.0 * q
-    gw, gv = -2.0 * a, 2.0 * v  # dI/dw = -4 Q'(w), dI/dw' = 2 w'
-    gg = gw.real * gw.real + gw.imag * gw.imag + gv.real * gv.real + gv.imag * gv.imag
-    f = res / gg if gg else 0.0
-    return w - f * gw.conjugate(), v - f * gv.conjugate(), res
 
 
 def integrate(
@@ -306,12 +320,13 @@ def integrate(
     if not (math.isfinite(e0.real) and math.isfinite(e0.imag)):
         raise DomainError(f"initial energy is not finite: {e0!r}")
 
-    rhs = chart_flow(params, e0)
+    accel = chart_flow(params, e0)
     e_scale = max(1.0, abs(e0))
     rtol, atol, t_max, max_steps = config.rel_tol, config.abs_tol, config.t_max, config.max_steps
-    drift_limit, escape_radius, escape_y_span = config.energy_drift_limit, config.escape_radius, config.escape_y_span
+    drift_limit, escape_y_span = config.energy_drift_limit, config.escape_y_span
+    w_escape = math.exp(-2.0 * config.escape_radius)  # |Re z| > escape_radius: |w| off [w_escape, 1 / w_escape]
     y0 = z0.imag
-    log, phase = math.log, cmath.phase
+    log, phase, inf = math.log, cmath.phase, math.inf
 
     t, z, p = 0.0, complex(z0), complex(p0)
     ts, zs, ps, ds = [t], [z], [p], [0.0]
@@ -321,8 +336,8 @@ def integrate(
     c = 1.0 if z.real <= 0.0 else -1.0
     w = cmath.exp(2.0 * c * z)
     v = 4.0 * c * p * w
-    w, v, _ = _project(w, v, *rhs(w, v)[1:])
-    a = rhs(w, v)[1]
+    a = accel(w)[0]
+    aw = abs(w)
     ph = phase(w)
     k = round((2.0 * c * z.imag - ph) / _TWO_PI)
 
@@ -341,12 +356,13 @@ def integrate(
         if last_step:
             h = t_max - t
 
-        wn, vn, an, qn, err = chart_step(rhs, w, v, a, h, atol, rtol)
-        if not (0.0 < abs(wn) < math.inf and abs(vn) < math.inf):
+        wn, vn, an, qn, err = chart_step(accel, w, v, a, h, atol, rtol)
+        awn, avn = abs(wn), abs(vn)
+        if not (0.0 < awn < inf and avn < inf):
             raise NonFiniteStateError(f"state leaves the chart at t={t!r}: w={wn!r}, w'={vn!r}")
-        dlog = cmath.log(wn / w)
+        darg = abs(phase(wn) - ph)
 
-        if err > 1.0 or abs(dlog.real) > _MAX_DLOG or abs(dlog.imag) > _MAX_DLOG:
+        if err > 1.0 or _MAX_DLOG < darg < _TWO_PI - _MAX_DLOG or awn * _MAX_RATIO < aw or awn > aw * _MAX_RATIO:
             n_rej += 1
             h *= 0.5 if err <= 1.0 else max(0.2, _SAFETY * err**-0.2)
             rejected_last = True
@@ -356,12 +372,17 @@ def integrate(
 
         t = t_max if last_step else t + h
         n_acc += 1
-        w, v, res = _project(wn, vn, an, qn)
-        drift = abs(res) / (16.0 * abs(wn) ** 2 * e_scale)
+        # the projection onto I = 0, grad I = (-2 w'', 2 w'); I is the step's energy error
+        res = vn * vn - 4.0 * qn
+        gg = abs(an) ** 2 + avn * avn
+        f = 0.5 * res / gg if gg else 0.0
+        w = wn + f * an.conjugate()
+        v = vn - f * vn.conjugate()
+        drift = abs(res) / (16.0 * awn * awn * e_scale)
         a = an
         aw = abs(w)
         ph_new = phase(w)
-        k += round((ph + dlog.imag - ph_new) / _TWO_PI)
+        k += round((ph - ph_new) / _TWO_PI)  # arg w moved by at most 1 < pi
         ph = ph_new
         z = complex(0.5 * c * log(aw), 0.5 * c * (ph + k * _TWO_PI + k * _TWO_PI_LO))
         p = 0.25 * c * v / w
@@ -374,7 +395,7 @@ def integrate(
             zs.append(z)
             ps.append(p)
             ds.append(drift)
-        if abs(z.real) > escape_radius or abs(z.imag - y0) > escape_y_span:
+        if aw < w_escape or aw * w_escape > 1.0 or abs(z.imag - y0) > escape_y_span:
             termination = Termination.ESCAPED
             break
         if drift > drift_limit:
@@ -391,13 +412,16 @@ def integrate(
             w = 1.0 / w
             v = -v * w * w
             c = -c
+            aw = abs(w)
             ph = phase(w)
             k = round((2.0 * c * z.imag - ph) / _TWO_PI)
-            a = rhs(w, v)[1]
+            a = accel(w)[0]
 
-        fac = 10.0 if err == 0.0 else min(10.0, max(0.2, _SAFETY * err ** (-_EXPO1) * facold**_BETA))
-        h *= min(1.0, fac) if rejected_last else fac
-        facold = max(err, 1e-4)
+        # PI control: fac clipped to [0.2, 10], and to 1 after a rejection
+        fac = 10.0 if err == 0.0 else _SAFETY * err ** (-_EXPO1) * facold**_BETA
+        fac = 10.0 if fac > 10.0 else 0.2 if fac < 0.2 else fac
+        h *= 1.0 if rejected_last and fac > 1.0 else fac
+        facold = err if err > 1e-4 else 1e-4
         rejected_last = False
 
     return Trajectory(

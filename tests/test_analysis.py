@@ -400,9 +400,16 @@ class TestSelfIntersections:
         traj = synthetic_trajectory(np.linspace(0, 2 * math.pi, 401), z)
         assert self_intersections(traj) == 1
 
-    def test_matches_brute_force(self, rng):
-        t = np.arange(60.0)
-        z = rng.uniform(-1, 1, 60) + 1j * rng.uniform(-1, 1, 60)
+    @pytest.mark.parametrize("shape", ["scatter", "spiral"])
+    def test_matches_brute_force(self, shape, rng):
+        if shape == "scatter":
+            t = np.arange(60.0)
+            z = rng.uniform(-1, 1, 60) + 1j * rng.uniform(-1, 1, 60)
+        else:
+            # ten wobbling turns 0.02 apart: every grid cell on the ring
+            # holds segments of all of them
+            t = np.linspace(0.0, 20.0 * math.pi, 300)
+            z = (1.0 + 0.003 * t + 0.03 * np.sin(5.1 * t)) * np.exp(1j * t)
         traj = synthetic_trajectory(t, z)
         pts = np.column_stack([z.real, z.imag])
 
@@ -418,6 +425,7 @@ class TestSelfIntersections:
                 d3, d4 = orient(a, b, c), orient(a, b, d)
                 if d1 * d2 < 0 and d3 * d4 < 0:
                     brute += 1
+        assert brute > 0
         assert self_intersections(traj) == brute
 
     def test_too_short(self):

@@ -325,6 +325,28 @@ class TestConfigFile:
         assert f"config error: bad {key} {value!r}\n" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "command,key,value",
+        [
+            *[("simulate", key, value) for key in ("trajectory_out", "events_out", "summary_out") for value in (2, None)],
+            ("sweep-e2", "out", 2),
+            ("sweep-e2", "out", None),
+        ],
+    )
+    def test_a_path_must_be_a_string(self, command, key, value, tmp_path):
+        # in a subprocess: a number taken as a path is a file descriptor, and
+        # writing to fd 2 and closing it would close this process's stderr
+        energy = {"simulate": {"e": "0.8"}, "sweep-e2": {"e2": "1.0"}}[command]
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"zeta": 0.1, "m": 3, "t_max": 0.01, **energy, key: value}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ptwells", command, "--config", str(cfg_path)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == f"config error: bad {key} {value!r}\n"
+
+
 class TestPoolSizing:
     def test_one_usable_cpu_runs_in_process(self, monkeypatch):
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)

@@ -142,8 +142,7 @@ class TestChartFlow:
             z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             p = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             s = cmath.exp(2 * z)
-            ds, d2s, q = chart_flow(P, hamiltonian(z, p, P))(s, 4 * s * p)
-            assert ds == 4 * s * p
+            d2s, q = chart_flow(P, hamiltonian(z, p, P))(s)
             scale = max(1.0, abs(s) * (abs(p) ** 2 + abs(potential(z, P))))
             expected = 4 * s * (4 * p * p + flow(P)(z, p)[1])
             assert abs(d2s - expected) <= 1e-11 * scale

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from ptwells import (
     potential_gradient,
     well_center,
 )
+from ptwells.dynamics import chart_flow
+from ptwells.integrator import chart_step
 
 P = SystemParams(0.1, 3)
 
@@ -115,6 +118,12 @@ class TestIntegrate:
         assert np.abs(dz.real).max() <= 0.5
         assert len(detect_axis_crossings(fig_tunneling)) >= 3  # both charts are used
 
+    @pytest.mark.parametrize("fixture,steps", [("fig_closed", 12_398), ("fig_tunneling", 46_976)])
+    def test_step_count_is_pinned(self, fixture, steps, request):
+        # the accepted steps of the first-order DP5 loop that the Nystrom form
+        # replaced: the same method must take the same steps, up to rounding
+        assert abs(request.getfixturevalue(fixture).n_accepted - steps) <= 0.005 * steps
+
     def test_retained_samples_respect_drift_limit(self, fig_tunneling):
         limit = fig_tunneling.config.energy_drift_limit
         assert np.all(fig_tunneling.drift <= limit)
@@ -178,3 +187,62 @@ class TestIntegrate:
     def test_overflowing_start_rejected(self):
         with pytest.raises((DomainError, NonFiniteStateError, OverflowError)):
             integrate(complex(400.0, 0.0), 0j, IntegratorConfig(), P)
+
+
+# Dormand-Prince 5(4) as printed (Dormand & Prince 1980): stage rows, the
+# fifth-order weights (stage 7, FSAL) and the error weights of stages 1-7
+DP5_A = [
+    [],
+    [F(1, 5)],
+    [F(3, 40), F(9, 40)],
+    [F(44, 45), F(-56, 15), F(32, 9)],
+    [F(19372, 6561), F(-25360, 2187), F(64448, 6561), F(-212, 729)],
+    [F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176), F(-5103, 18656)],
+]
+DP5_B = [F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84)]
+DP5_E = [F(71, 57600), F(0), F(-71, 16695), F(71, 1920), F(-17253, 339200), F(22, 525), F(-1, 40)]
+
+
+class TestChartStep:
+    def test_equals_the_first_order_step(self, rng):
+        # one DP5 step on y = (w, w'), y' = (w', w''(w)), taken at 40 digits
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+
+        def num(x):
+            return mp.mpf(x.numerator) / x.denominator
+
+        def first_order(accel, w, v, h, atol, rtol):
+            """(w, w', w'', Q) at the new point, the error estimate, and the
+            same estimate over the absolute values of its terms."""
+            w, v, h = mp.mpc(w), mp.mpc(v), mp.mpf(h)
+            ks = []
+            for row in DP5_A:
+                sw = sum((num(c) * kw for c, (kw, _) in zip(row, ks)), mp.mpc(0))
+                sv = sum((num(c) * kv for c, (_, kv) in zip(row, ks)), mp.mpc(0))
+                ks.append((v + h * sv, accel(w + h * sw)[0]))
+            wn = w + h * sum(num(c) * kw for c, (kw, _) in zip(DP5_B, ks))
+            vn = v + h * sum(num(c) * kv for c, (_, kv) in zip(DP5_B, ks))
+            an, qn = accel(wn)
+            ks.append((vn, an))
+            sw, sv = max(abs(w), abs(wn)), max(abs(v), abs(vn))
+
+            def rms(total):
+                ew = h * total([num(e) * kw for e, (kw, _) in zip(DP5_E, ks)]) / (atol + rtol * sw)
+                ev = h * total([num(e) * kv for e, (_, kv) in zip(DP5_E, ks)]) / (atol + rtol * sv)
+                return mp.sqrt((ew * ew + ev * ev) / 2)
+
+            return (wn, vn, an, qn), rms(lambda terms: abs(sum(terms))), rms(lambda terms: sum(map(abs, terms)))
+
+        for _ in range(50):
+            accel = chart_flow(P, complex(1.0, rng.uniform(0.0, 7.0)))
+            w = complex(*rng.uniform(-1, 1, 2))
+            v = complex(*rng.uniform(-5, 5, 2))
+            h = rng.uniform(1e-3, 0.1)
+            *state, err = chart_step(accel, w, v, accel(w)[0], h, 1e-12, 1e-10)
+            ref, ref_err, ref_scale = first_order(accel, w, v, h, 1e-12, 1e-10)
+            for got, want in zip(state, ref):
+                assert abs(got - want) <= 1e-14 * abs(want)
+            # the estimate is a difference of terms of the step's size, so its
+            # rounding is relative to them, not to the estimate
+            assert abs(err - ref_err) <= 1e-14 * (ref_err + ref_scale)
