@@ -59,22 +59,24 @@ __all__ = [
     "self_intersections",
 ]
 
-DEFAULT_RECURRENCE_TOL = 1e-4
-
 # Default spread of the two boundary probes about the separatrix.
 BOUNDARY_WIDTH = 1e-4
 
 # separatrix_offset's DP5 tolerances (~1e-14 off a 30-digit leaf) and step budget
 _LEAF_RTOL, _LEAF_ATOL, _LEAF_MAX_STEPS = 1e-13, 1e-15, 10_000
 
+# The exit from a start's lattice cell: |Im z - Im z0| beyond half the lattice
+# period.  A closed orbit at real energy stays within 1.31 of its start's Im z.
+CELL_EXIT_SPAN = 0.5 * math.pi
+
 # Boundary-probe preset: see closed_orbit_boundary for the two stops, at
 # the first return and at the exit from the start's cell.
 PROBE_CONFIG = IntegratorConfig(
     t_max=15.0,
     escape_radius=25.0,
-    escape_y_span=0.5 * math.pi,
+    escape_y_span=CELL_EXIT_SPAN,
     energy_drift_limit=0.05,
-    return_tol=DEFAULT_RECURRENCE_TOL,
+    stop_at_return=True,
 )
 
 
@@ -181,15 +183,11 @@ def detect_axis_crossings(traj: Trajectory) -> list[CrossingEvent]:
     return events
 
 
-def dwell_segments(
-    traj: Trajectory,
-    crossings: Sequence[CrossingEvent] | None = None,
-    commit_frac: float = 0.5,
-) -> list[DwellSegment]:
+def dwell_segments(traj: Trajectory, crossings: Sequence[CrossingEvent] | None = None) -> list[DwellSegment]:
     """Full dwell segments between consecutive committed crossings.
 
     A crossing opens a dwell only if the orbit then reaches at least
-    ``commit_frac`` of the well-column |x| before crossing back: transits
+    half the well-column |x| before crossing back: transits
     occasionally graze the imaginary axis (sign wiggles lasting ~0.1 time
     units at |Re z| ~ 0.1), and without the hysteresis those grazes would
     enter the dwell statistics as spurious sub-unit dwells.  The partial
@@ -200,7 +198,7 @@ def dwell_segments(
         crossings = detect_axis_crossings(traj)
     if len(crossings) < 2:
         return []
-    x_commit = commit_frac * well_x(traj.params)
+    x_commit = 0.5 * well_x(traj.params)
     abs_x = np.abs(traj.z.real)
     n_last = len(traj) - 1
 
@@ -230,10 +228,9 @@ def dwell_segments(
     return segs
 
 
-def measure_tunneling(traj: Trajectory, crossings: Sequence[CrossingEvent] | None = None) -> TunnelingStats:
+def measure_tunneling(traj: Trajectory) -> TunnelingStats:
     """Per-side mean dwell times and their average, the tunneling time."""
-    if crossings is None:
-        crossings = detect_axis_crossings(traj)
+    crossings = detect_axis_crossings(traj)
     if len(crossings) < 3:
         raise InsufficientCrossingsError(
             f"need >= 3 axis crossings for dwell statistics, got {len(crossings)}"
@@ -253,8 +250,8 @@ def measure_tunneling(traj: Trajectory, crossings: Sequence[CrossingEvent] | Non
 ANCHOR_RADIUS = 0.35
 
 
-def anchor_episodes(traj: Trajectory, radius: float = ANCHOR_RADIUS) -> list[tuple[WellIndex, int, float]]:
-    """Maximal sample runs spent within ``radius`` of some well center.
+def anchor_episodes(traj: Trajectory) -> list[tuple[WellIndex, int, float]]:
+    """Maximal sample runs spent within ``ANCHOR_RADIUS`` of some well center.
 
     Returns (well, sample index of closest approach, closest distance) per
     episode, consecutive same-well episodes merged.  Spirals pass within
@@ -274,7 +271,7 @@ def anchor_episodes(traj: Trajectory, radius: float = ANCHOR_RADIUS) -> list[tup
     d = np.where(right_closer, d_r, d_l)
 
     episodes: list[tuple[WellIndex, int, float]] = []
-    inside = d < radius
+    inside = d < ANCHOR_RADIUS
     i = 0
     n_tot = len(d)
     while i < n_tot:
@@ -340,7 +337,7 @@ def tunnel_well_pair(traj: Trajectory) -> tuple[WellIndex, WellIndex]:
 
 
 def _recurrence(traj: Trajectory) -> float | None:
-    """First return time to within DEFAULT_RECURRENCE_TOL of the start.
+    """First return time to within ``ReturnWatch.TOL`` of the start.
 
     The return is the one ``ReturnWatch`` finds, at the closest approach of
     the cubic between two samples.  Returns the period, 0.0 for a trajectory
@@ -348,7 +345,7 @@ def _recurrence(traj: Trajectory) -> float | None:
     recurrence.
     """
     z, p, t = traj.z.tolist(), traj.p.tolist(), traj.t.tolist()
-    watch = ReturnWatch(t[0], z[0], p[0], DEFAULT_RECURRENCE_TOL, traj.params)
+    watch = ReturnWatch(t[0], z[0], p[0], traj.params)
     for k in range(1, len(t)):
         t_return = watch.step(t[k], z[k], p[k])
         if t_return is not None:
@@ -359,7 +356,7 @@ def _recurrence(traj: Trajectory) -> float | None:
 def classify_orbit(traj: Trajectory) -> OrbitClass:
     """Closed, open-escape, or tunneling; anything else raises.
 
-    Closed: the phase point returns within DEFAULT_RECURRENCE_TOL of its
+    Closed: the phase point returns within ``ReturnWatch.TOL`` of its
     start (in the combined (z, p) Euclidean norm) with no axis crossing,
     on a run that did not escape.  Open escape: the run escaped with at
     most one crossing.  Tunneling: at least three alternating crossings on
@@ -434,7 +431,6 @@ def closed_orbit_boundary(
     idx: WellIndex,
     energy_real: float,
     params: SystemParams,
-    cfg: IntegratorConfig = PROBE_CONFIG,
     direction: int = 1,
     width_tol: float = BOUNDARY_WIDTH,
 ) -> BoundaryResult:
@@ -442,7 +438,8 @@ def closed_orbit_boundary(
     :func:`separatrix_offset`, confirmed by two probes.
 
     The probes start at the well's x, width_tol/2 below and above the
-    separatrix in Im z (signed by ``direction``).  The lower must end
+    separatrix in Im z (signed by ``direction``), and each integrates with
+    ``PROBE_CONFIG`` as it stands at the call.  The lower must end
     closed, by its first return (``RETURNED``) or at t_max in its cell; the
     upper open, leaving its cell (``ESCAPED``: Im z moves pi/2, on its first
     whip down the well column).  Otherwise a BracketingError reports both;
@@ -460,7 +457,7 @@ def closed_orbit_boundary(
     for offset in (lo, hi):
         z0 = complex(center.real, center.imag + direction * offset)
         p0 = initial_momentum(z0, complex(energy_real), MomentumBranch.PRINCIPAL, params)
-        traj = integrate(z0, p0, cfg, params)
+        traj = integrate(z0, p0, PROBE_CONFIG, params)
         if traj.termination in (Termination.DRIFT_EXCEEDED, Termination.STEP_LIMIT):
             raise AmbiguousOrbitError(
                 f"probe at offset {offset!r} ended by {traj.termination.value} "
@@ -503,15 +500,10 @@ def spiral_chirality(segment: Sequence[PhaseState], center: complex) -> Chiralit
     return Chirality.CLOCKWISE if winding < 0 else Chirality.ANTICLOCKWISE
 
 
-def spiral_windows(
-    traj: Trajectory,
-    seg: DwellSegment,
-    center: complex,
-    radius: float = math.pi / 4,
-) -> tuple[list[PhaseState], list[PhaseState]]:
+def spiral_windows(traj: Trajectory, seg: DwellSegment, center: complex) -> tuple[list[PhaseState], list[PhaseState]]:
     """Inward and outward spiral sample windows of one dwell.
 
-    Both windows are contiguous sample runs inside ``radius`` of the well
+    Both windows are contiguous sample runs within pi/4 of the well
     center, split at the closest approach: the inward window ends there,
     the outward one starts there.
     """
@@ -521,10 +513,10 @@ def spiral_windows(
     r = np.abs(zseg - center)
     k_min = int(np.argmin(r))
     lo = k_min
-    while lo > 0 and r[lo - 1] <= radius:
+    while lo > 0 and r[lo - 1] <= math.pi / 4:
         lo -= 1
     hi = k_min
-    while hi + 1 < len(r) and r[hi + 1] <= radius:
+    while hi + 1 < len(r) and r[hi + 1] <= math.pi / 4:
         hi += 1
     inward = [traj.state(seg.i_first + i) for i in range(lo, k_min + 1)]
     outward = [traj.state(seg.i_first + i) for i in range(k_min, hi + 1)]
@@ -551,6 +543,9 @@ def _proper_crossings(pts: np.ndarray, pairs_i: np.ndarray, pairs_j: np.ndarray)
 def self_intersections(traj: Trajectory) -> int:
     """Number of transversal self-crossings of the trajectory polyline.
 
+    The count is meaningful for open, tunneling orbits only.  A closed orbit
+    traced many times crosses its own earlier copies at rounding level: the
+    closed figure run (t = 40, about 73 loops) counts 892,160 "crossings".
     Segments are binned into a uniform grid (cell = twice the mean segment
     length) so only nearby pairs are tested; adjacent segments are skipped.
     Endpoint touches and collinear overlaps do not count.

@@ -9,7 +9,8 @@ Its keys are the flag names with underscores for hyphens and ``m`` for
 and each value is converted and checked as its flag's value is.
 Each subcommand starts from one integrator preset (``run_preset`` for
 ``simulate`` and each ``sweep-e2`` row, ``analysis.PROBE_CONFIG`` for
-``threshold``); the integrator flags and config keys override its fields.
+``threshold``).  On ``simulate`` and ``sweep-e2`` the integrator flags and
+config keys override its fields; ``threshold`` always runs the probe preset.
 
 Exit codes: 0 success, 1 usage or config error, 2 numerical failure,
 3 ambiguous classification.
@@ -29,7 +30,7 @@ from dataclasses import dataclass, replace
 
 from .analysis import (
     BOUNDARY_WIDTH,
-    PROBE_CONFIG,
+    CELL_EXIT_SPAN,
     OrbitClass,
     OrbitKind,
     classify_orbit,
@@ -58,7 +59,7 @@ from .integrator import (
 from .spectrum import pt_phase, qes_levels
 from .wells import Side, WellIndex, well_center
 
-__all__ = ["main", "RunConfig", "parse_complex", "run_preset", "cmd_simulate", "cmd_sweep_e2", "cmd_threshold"]
+__all__ = ["main", "RunConfig", "parse_complex", "run_preset", "cmd_sweep_e2"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -78,9 +79,9 @@ TMAX_FLOOR = 200.0
 TUNNELING_DRIFT_LIMIT = 1e-3
 TUNNELING_ESCAPE_RADIUS = 12.0
 
-# IntegratorConfig fields that a flag or a config key may override, with their types
+# IntegratorConfig fields that a flag or a config key of simulate and sweep-e2
+# may override, with their types
 INTEGRATOR_FIELDS = {
-    "dt_init": float,
     "rel_tol": float,
     "abs_tol": float,
     "t_max": float,
@@ -156,11 +157,13 @@ def default_t_max(energy: complex) -> float:
 def run_preset(energy: complex) -> IntegratorConfig:
     """Integrator preset of a run: bounded at real energy, tunneling otherwise.
 
+    A bounded run escapes when it leaves its start's lattice cell: an open
+    orbit at real energy runs down the well column with Re z bounded.
     (The third preset, for boundary probes, is ``analysis.PROBE_CONFIG``.)
     """
     cfg = IntegratorConfig(t_max=default_t_max(energy), max_steps=10_000_000)
     if energy.imag == 0:
-        return cfg
+        return replace(cfg, escape_y_span=CELL_EXIT_SPAN)
     return replace(cfg, energy_drift_limit=TUNNELING_DRIFT_LIMIT, escape_radius=TUNNELING_ESCAPE_RADIUS)
 
 
@@ -257,22 +260,6 @@ def run_simulation(config: RunConfig) -> dict:
     return summary
 
 
-def cmd_simulate(config: RunConfig) -> int:
-    try:
-        summary = run_simulation(config)
-    except AmbiguousOrbitError as exc:
-        print(f"ambiguous classification: {exc}", file=sys.stderr)
-        return EXIT_AMBIGUOUS
-    except (NonFiniteStateError, InsufficientCrossingsError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except PtwellsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    print(json.dumps(summary))
-    return EXIT_OK
-
-
 def _sweep_row(args: tuple) -> dict:
     """Worker for one sweep row; never raises, reports failures in 'error'."""
     zeta, m_int, e1, e2, cfg = args
@@ -365,26 +352,6 @@ def write_sweep_csv(rows: list[dict], path: str) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-def cmd_threshold(
-    params: SystemParams,
-    energy_real: float,
-    idx: WellIndex,
-    direction: int,
-    width_tol: float,
-    cfg: IntegratorConfig,
-) -> dict:
-    res = closed_orbit_boundary(idx, energy_real, params, cfg=cfg, direction=direction, width_tol=width_tol)
-    return {
-        "side": idx.side.value,
-        "n": idx.n,
-        "direction": direction,
-        "critical_offset": res.offset,
-        "closed_offset": res.closed_offset,
-        "open_offset": res.open_offset,
-        "n_probes": res.n_probes,
-    }
-
-
 def write_wells_csv(params: SystemParams, n_min: int, n_max: int, fh) -> None:
     fh.write("side,n,x,y\n")
     for side in (Side.RIGHT, Side.LEFT):
@@ -406,7 +373,7 @@ def write_spectrum_csv(m_int: int, zeta: float, fh) -> str:
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _load_config(path: str, p: argparse.ArgumentParser) -> dict:
@@ -448,6 +415,8 @@ def _e2_list(raw) -> list[float]:
     """Numbers from a comma-separated string or a JSON list; anything else is a config error."""
     items = raw.split(",") if isinstance(raw, str) else raw
     try:
+        if any(isinstance(v, bool) for v in items):  # float() would read JSON true as 1.0
+            raise TypeError
         return [float(v) for v in items if str(v).strip()]
     except (TypeError, ValueError) as exc:
         raise DomainError(f"bad e2 {raw!r}: want comma-separated numbers") from exc
@@ -495,7 +464,6 @@ def main(argv: list[str] | None = None) -> int:
     p_thr.add_argument(
         "--width", type=float, default=BOUNDARY_WIDTH, help="probe spread about the separatrix (default %(default)s)"
     )
-    _add_integrator_flags(p_thr)
 
     p_wells = sub.add_parser("wells", help="well lattice table as CSV")
     p_wells.add_argument("--zeta", type=float, required=True)
@@ -527,9 +495,12 @@ def main(argv: list[str] | None = None) -> int:
     except AmbiguousOrbitError as exc:
         print(f"ambiguous classification: {exc}", file=sys.stderr)
         return EXIT_AMBIGUOUS
-    except NonFiniteStateError as exc:
+    except (NonFiniteStateError, InsufficientCrossingsError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except PtwellsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def _require(args, energy_flag: str) -> None:
@@ -555,7 +526,8 @@ def _dispatch(args) -> int:
             events_path=args.events_out,
             summary_path=args.summary_out,
         )
-        return cmd_simulate(config)
+        print(json.dumps(run_simulation(config)))
+        return EXIT_OK
 
     if args.command == "sweep-e2":
         _require(args, "e2")
@@ -569,14 +541,22 @@ def _dispatch(args) -> int:
 
     if args.command == "threshold":
         _require(args, "e")
-        result = cmd_threshold(
-            SystemParams(args.zeta, args.m),
-            args.e,
+        res = closed_orbit_boundary(
             WellIndex(Side(args.side), args.n),
+            args.e,
+            SystemParams(args.zeta, args.m),
             direction=args.direction,
             width_tol=args.width,
-            cfg=replace(PROBE_CONFIG, **overrides),
         )
+        result = {
+            "side": args.side,
+            "n": args.n,
+            "direction": args.direction,
+            "critical_offset": res.offset,
+            "closed_offset": res.closed_offset,
+            "open_offset": res.open_offset,
+            "n_probes": res.n_probes,
+        }
         print(json.dumps(result))
         return EXIT_OK
 

@@ -84,7 +84,6 @@ class PhaseState:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    dt_init: float = 1e-3
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     t_max: float = 200.0
@@ -95,12 +94,11 @@ class IntegratorConfig:
     # as ESCAPED (open orbits at real energy flee down the well column
     # with bounded Re z); infinite by default
     escape_y_span: float = math.inf
-    # end at the first return within this distance of the start phase point
-    # (see ReturnWatch); None integrates on to t_max
-    return_tol: float | None = None
+    # end at the first return to the start phase point (see ReturnWatch)
+    stop_at_return: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("dt_init", "rel_tol", "abs_tol", "t_max", "energy_drift_limit", "escape_radius"):
+        for name in ("rel_tol", "abs_tol", "t_max", "energy_drift_limit", "escape_radius"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise DomainError(f"{name} must be finite and > 0, got {v!r}")
@@ -108,8 +106,6 @@ class IntegratorConfig:
             raise DomainError(f"escape_y_span must be > 0, got {self.escape_y_span!r}")
         if self.max_steps < 1:
             raise DomainError(f"max_steps must be >= 1, got {self.max_steps!r}")
-        if self.return_tol is not None and not (math.isfinite(self.return_tol) and self.return_tol > 0):
-            raise DomainError(f"return_tol must be None or finite and > 0, got {self.return_tol!r}")
 
 
 @dataclass
@@ -183,17 +179,18 @@ class ReturnWatch:
     Distances are Euclidean over (z, p) as a 4-real-vector.  Between
     consecutive samples the orbit is the cubic Hermite of (z, p) in t with
     the slopes (2p, -dV/dz) of ``dynamics.flow``; a return is the first
-    segment whose closest approach to the start lies within ``tol``,
-    counted once a sample has left the ball of radius max(100 tol, 1e-3)
+    segment whose closest approach to the start lies within ``TOL``,
+    counted once a sample has left the ball of radius max(100 TOL, 1e-3)
     about the start.  ``integrate`` feeds it each kept sample online and
     ``analysis.classify_orbit`` replays a finished trajectory through it,
     so both find the same return.
     """
 
-    def __init__(self, t0: float, z0: complex, p0: complex, tol: float, params: SystemParams) -> None:
+    TOL = 1e-4
+
+    def __init__(self, t0: float, z0: complex, p0: complex, params: SystemParams) -> None:
         self.z0, self.p0 = z0, p0
-        self.tol = tol
-        self.leave_sq = max(100.0 * tol, 1e-3) ** 2
+        self.leave_sq = max(100.0 * self.TOL, 1e-3) ** 2
         self.left = False
         self.rhs = flow(params)
         self.prev = (t0, 0j, 0j, *self.rhs(z0, p0)[:2])  # time, offset from the start, slope
@@ -208,7 +205,7 @@ class ReturnWatch:
             self.left = _norm_sq(bz, bp) > self.leave_sq
             return None
         h = t - ta
-        s = _hermite_closest((az, ap), (h * dza, h * dpa), (bz, bp), (h * dz, h * dp), self.tol)
+        s = _hermite_closest((az, ap), (h * dza, h * dpa), (bz, bp), (h * dz, h * dp), self.TOL)
         return None if s is None else ta + s * h
 
 
@@ -294,6 +291,7 @@ def chart_step(accel, w: complex, v: complex, a: complex, h: float, atol: float,
 
 
 _EPS = 2.220446049250313e-16
+_H_FIRST = 1e-3  # the first trial step; the PI control sizes the rest
 _SAFETY = 0.9
 _BETA = 0.04
 _EXPO1 = 0.2 - 0.75 * _BETA
@@ -312,7 +310,7 @@ def integrate(
     params: SystemParams,
 ) -> Trajectory:
     """Integrate from (z0, p0) until t_max, escape, step budget, drift, or
-    (with ``config.return_tol``) the first return to the start."""
+    (with ``config.stop_at_return``) the first return to the start."""
     try:
         e0 = hamiltonian(z0, p0, params)
     except NonFiniteStateError as exc:
@@ -330,7 +328,7 @@ def integrate(
 
     t, z, p = 0.0, complex(z0), complex(p0)
     ts, zs, ps, ds = [t], [z], [p], [0.0]
-    watch = None if config.return_tol is None else ReturnWatch(t, z, p, config.return_tol, params)
+    watch = ReturnWatch(t, z, p, params) if config.stop_at_return else None
 
     # the chart: c = +1 for w = e^{2z}, -1 for w = e^{-2z}; k counts the turns of w
     c = 1.0 if z.real <= 0.0 else -1.0
@@ -341,7 +339,7 @@ def integrate(
     ph = phase(w)
     k = round((2.0 * c * z.imag - ph) / _TWO_PI)
 
-    h = min(config.dt_init, t_max)
+    h = min(_H_FIRST, t_max)
     facold = 1e-4
     floor_sq = 0.0  # sum of (|dV/dz| |z| + 2 |p|^2)^2 over kept samples
     n_acc = n_rej = 0

@@ -39,6 +39,7 @@ from ptwells import (
 )
 from ptwells import analysis
 from ptwells.analysis import BOUNDARY_WIDTH, PROBE_CONFIG
+from ptwells.integrator import ReturnWatch
 
 P = SystemParams(0.1, 3)
 
@@ -275,11 +276,11 @@ class TestReturnStop:
         )
         dist = np.linalg.norm(curve, axis=1)
         i = int(np.argmin(dist))
-        assert dist[i] <= PROBE_CONFIG.return_tol
+        assert dist[i] <= ReturnWatch.TOL
         assert oc.period == pytest.approx(ta + s[i, 0] * h, rel=0, abs=1e-5 * h)
 
-    def test_no_return_tol_integrates_on(self):
-        traj = integrate(*_probe_start(0.2), replace(PROBE_CONFIG, return_tol=None), P)
+    def test_without_the_return_stop_integrates_on(self):
+        traj = integrate(*_probe_start(0.2), replace(PROBE_CONFIG, stop_at_return=False), P)
         assert traj.termination is Termination.TIME_LIMIT
         assert traj.t[-1] == PROBE_CONFIG.t_max
         assert classify_orbit(traj).kind is OrbitKind.CLOSED
@@ -299,19 +300,19 @@ class TestBoundary:
 
     def test_probe_ending_by_drift_raises_at_once(self, monkeypatch):
         calls = _count_integrations(monkeypatch)
-        cfg = replace(PROBE_CONFIG, energy_drift_limit=1e-13)
+        monkeypatch.setattr(analysis, "PROBE_CONFIG", replace(PROBE_CONFIG, energy_drift_limit=1e-13))
         with pytest.raises(AmbiguousOrbitError) as exc_info:
-            closed_orbit_boundary(WellIndex(Side.LEFT, 0), 0.8, P, cfg=cfg)
+            closed_orbit_boundary(WellIndex(Side.LEFT, 0), 0.8, P)
         msg = str(exc_info.value)
         lower = separatrix_offset(P, 0.8) - 0.5 * BOUNDARY_WIDTH
         assert f"offset {lower!r} " in msg and "drift_exceeded" in msg
         assert len(calls) == 1
 
-    def test_wrong_probe_class_raises(self):
+    def test_wrong_probe_class_raises(self, monkeypatch):
         # a cell this narrow lets the closed probe escape too
-        cfg = replace(PROBE_CONFIG, escape_y_span=0.1)
+        monkeypatch.setattr(analysis, "PROBE_CONFIG", replace(PROBE_CONFIG, escape_y_span=0.1))
         with pytest.raises(BracketingError, match="ended by escaped, .* ended by escaped"):
-            closed_orbit_boundary(WellIndex(Side.LEFT, 0), 0.8, P, cfg=cfg)
+            closed_orbit_boundary(WellIndex(Side.LEFT, 0), 0.8, P)
 
     @pytest.mark.parametrize("n,direction", [(0, 1), (1, -1)])
     def test_two_probes_confirm_the_separatrix(self, n, direction, monkeypatch):

@@ -2,8 +2,9 @@
 
 ``benchmarks/tracing.py`` wraps the layers' functions by rebinding module
 attributes, and ``benchmarks/workloads.py`` reads the tunneling guard and
-the kernel entry points by name.  A refactor that drops one of these names
-breaks ``benchmarks/run.py --trace 1``; these checks catch it in tier-1.
+the kernel entry points by name and calls the package with its own
+settings.  A refactor that drops one of these names or settings breaks
+``benchmarks/run.py``; these checks catch it in tier-1.
 """
 
 import importlib.util
@@ -12,18 +13,18 @@ import pathlib
 import ptwells
 from ptwells import cli, dynamics, integrator
 
-TRACING = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
+BENCHMARKS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("benchmark_tracing", TRACING)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", BENCHMARKS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_installs_and_uninstalls():
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     hooked = [(mod, name.split(".")[1]) for name, mods in tracing.TARGETS.items() for mod in mods]
     before = {(mod, attr): getattr(getattr(ptwells, mod), attr) for mod, attr in hooked}
     tracer = tracing.Tracer(ptwells)
@@ -42,3 +43,10 @@ def test_names_the_workloads_read():
     assert callable(cli.integrate)
     assert callable(integrator.derivative)
     assert callable(dynamics.potential_gradient)
+
+
+def test_workload_calls_into_the_package(tmp_path):
+    workloads = _load("workloads")
+    assert isinstance(workloads._probe_config(ptwells), integrator.IntegratorConfig)
+    ops = workloads.pass_boundary_search(ptwells, {"n": 0, "direction": 1}, 0, None, tmp_path)
+    assert [op["ok"] for op in ops] == [True], ops

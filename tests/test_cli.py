@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from ptwells import BoundaryResult, DomainError, SystemParams, analysis, cli
+from ptwells import DomainError, Side, SystemParams, WellIndex, analysis, cli, well_center
 from ptwells.analysis import PROBE_CONFIG
 from ptwells.cli import (
     EXIT_AMBIGUOUS,
@@ -138,6 +138,16 @@ class TestSimulateCommand:
         ]
         assert main(args) == EXIT_AMBIGUOUS
 
+    def test_open_start_escapes(self, capsys):
+        # a real-energy open orbit keeps Re z bounded on its way down the well
+        # column; it ends by leaving its start's cell
+        c = well_center(WellIndex(Side.LEFT, 0), SystemParams(0.1, 3))
+        args = ["simulate", "--zeta", "0.1", "--M", "3", "--e", "0.8", "--start", f"point:{c.real!r},{c.imag + 0.6!r}"]
+        assert main(args) == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["classification"] == {"kind": "open_escape", "escape_side": "left"}
+        assert summary["termination"] == "escaped"
+
     def test_summary_printed(self, capsys):
         args = [
             "simulate", "--zeta", "0.1", "--M", "3", "--e", "0.8",
@@ -219,22 +229,42 @@ def _record_runs(monkeypatch) -> list:
 
 
 class TestIntegratorConfigKeys:
-    def test_config_file_reaches_sweep_and_threshold(self, tmp_path, monkeypatch, capsys):
+    def test_config_file_reaches_the_sweep(self, tmp_path, monkeypatch, capsys):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"zeta": 0.1, "m": 3, "rel_tol": 1e-12}))
         seen = _record_runs(monkeypatch)
         assert main(["sweep-e2", "--config", str(cfg_path), "--e2", "1.0", "--workers", "1"]) == EXIT_OK
         assert [cfg.rel_tol for cfg in seen] == [1e-12]
 
-        probe_cfgs = []
+    def test_threshold_config_takes_no_integrator_key(self, tmp_path, monkeypatch, capsys):
+        # the probes always run analysis.PROBE_CONFIG
+        monkeypatch.setattr(analysis, "integrate", _never)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"zeta": 0.1, "m": 3, "e": 0.8, "rel_tol": 1e-12}))
+        assert main(["threshold", "--config", str(cfg_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "config error" in err and "unknown key(s) 'rel_tol'" in err
 
-        def boundary(idx, energy_real, params, cfg, **kwargs):
-            probe_cfgs.append(cfg)
-            return BoundaryResult(0.5, 0.49, 0.51, 2, 0.0, ((0.0, 0.0), (0.0, 0.0)))
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["threshold", "--e", "0.8", "--rel-tol", "1e-12"],
+            ["simulate", "--e", "0.8", "--dt-init", "1e-3"],
+            ["sweep-e2", "--e2", "1.0", "--dt-init", "1e-3"],
+        ],
+        ids=["threshold-rel-tol", "simulate-dt-init", "sweep-e2-dt-init"],
+    )
+    def test_removed_flag_is_a_usage_error(self, args, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_simulation", _never)
+        monkeypatch.setattr(analysis, "integrate", _never)
+        with pytest.raises(SystemExit) as exc_info:
+            main([args[0], "--zeta", "0.1", "--M", "3", *args[1:]])
+        assert exc_info.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {' '.join(args[-2:])}" in capsys.readouterr().err
 
-        monkeypatch.setattr(cli, "closed_orbit_boundary", boundary)
-        assert main(["threshold", "--config", str(cfg_path), "--e", "0.8"]) == EXIT_OK
-        assert probe_cfgs == [replace(PROBE_CONFIG, rel_tol=1e-12)]
+
+def _never(*args, **kwargs):
+    pytest.fail("the run went ahead despite a bad setting")
 
 
 class TestConfigFile:
@@ -277,7 +307,7 @@ class TestConfigFile:
             ("threshold", {"e": "abc"}, "e"),
             ("sweep-e2", {"zeta": "x", "e2": "1.0"}, "zeta"),
             ("simulate", {"e": "0.8", "branch": "sideways"}, "branch"),
-            ("threshold", {"e": 0.8, "rel_tol": "tight"}, "rel_tol"),
+            ("sweep-e2", {"e2": [True, 2]}, "e2"),
         ],
     )
     def test_bad_config_value_is_a_config_error(self, command, keys, bad, tmp_path, monkeypatch, capsys):
@@ -297,7 +327,8 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "command,key,value",
         [
-            *[(command, key, "x") for command in COMMANDS for key in ("zeta", *cli.INTEGRATOR_FIELDS)],
+            *[(command, "zeta", "x") for command in COMMANDS],
+            *[(command, key, "x") for command in ("simulate", "sweep-e2") for key in cli.INTEGRATOR_FIELDS],
             *[(command, "m", 3.5) for command in COMMANDS],
             ("simulate", "branch", "sideways"),
             ("sweep-e2", "e1", "one"),
@@ -363,10 +394,11 @@ class TestPoolSizing:
 
 
 class TestThresholdCommand:
-    def test_bracket_failure_exit(self, capsys):
+    def test_bracket_failure_exit(self, monkeypatch, capsys):
         # the upper probe cannot leave its cell this soon, so the probes
         # do not confirm the separatrix
-        args = ["threshold", "--zeta", "0.1", "--M", "3", "--e", "0.8", "--t-max", "0.3"]
+        monkeypatch.setattr(analysis, "PROBE_CONFIG", replace(PROBE_CONFIG, t_max=0.3))
+        args = ["threshold", "--zeta", "0.1", "--M", "3", "--e", "0.8"]
         assert main(args) == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert "bracket failure" in err and "probes do not confirm the separatrix" in err
@@ -376,14 +408,8 @@ class TestThresholdCommand:
             "threshold", "--zeta", "0.1", "--M", "3", "--e", "0.8",
             "--side", "left", "--n", "0", "--width", "0.1",
         ]
-        # --rel-tol 1e-10 is the default: it overrides one field of the
-        # probe preset and therefore changes nothing
-        outputs = []
-        for extra in ([], ["--rel-tol", "1e-10"]):
-            assert main(args + extra) == EXIT_OK
-            outputs.append(json.loads(capsys.readouterr().out))
-        out = outputs[0]
-        assert outputs[1] == out
+        assert main(args) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
         assert out["closed_offset"] < out["critical_offset"] < out["open_offset"]
         assert 0.45 <= out["critical_offset"] <= 0.6
         assert out["n_probes"] == 2
