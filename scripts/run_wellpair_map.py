@@ -7,7 +7,6 @@ results/wellpair_map.csv.
 
 import argparse
 import pathlib
-from dataclasses import replace
 
 from ptwells import (
     MomentumBranch,
@@ -34,7 +33,7 @@ def main() -> None:
         fh.write("zeta,M,n_left,n_right,tau\n")
         for zeta, m in CASES:
             params = SystemParams(zeta, m)
-            cfg = replace(run_preset(1 + 1j), t_max=args.t_max)
+            cfg = run_preset(1 + 1j, args.t_max)
             p0 = initial_momentum(0j, 1 + 1j, MomentumBranch.PRINCIPAL, params)
             traj = integrate(0j, p0, cfg, params)
             left, right = tunnel_well_pair(traj)

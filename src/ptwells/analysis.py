@@ -141,26 +141,19 @@ class Chirality(enum.Enum):
     ANTICLOCKWISE = "anticlockwise"
 
 
-def _interp_at(traj: Trajectory, i: int, j: int, t: float) -> tuple[complex, complex]:
-    """Linear interpolation of (z, p) on the sample bracket [i, j]."""
-    ta, tb = traj.t[i], traj.t[j]
-    frac = 0.0 if tb == ta else (t - ta) / (tb - ta)
-    z = traj.z[i] + frac * (traj.z[j] - traj.z[i])
-    p = traj.p[i] + frac * (traj.p[j] - traj.p[i])
-    return complex(z), complex(p)
-
-
 def detect_axis_crossings(traj: Trajectory) -> list[CrossingEvent]:
     """All sign changes of Re z, located on the linear interpolant.
 
     A crossing time is the root of the interpolant of Re z between the
-    two samples of opposite sign; the direction comes from the sign of
-    Re(dz/dt) = 2 Re p there.  Samples landing exactly on the axis are
-    bridged by the surrounding nonzero-sign samples.
+    two samples of opposite sign, and its y is the interpolant of Im z
+    there.  The direction is the side the orbit crosses to, the sign of
+    Re z after the flip.  Samples landing exactly on the axis are bridged
+    by the surrounding nonzero-sign samples.
     """
     if len(traj) == 0:
         raise DomainError("empty trajectory")
     x = traj.z.real
+    y = traj.z.imag
     nz = np.nonzero(x != 0.0)[0]
     if len(nz) < 2:
         return []
@@ -173,13 +166,10 @@ def detect_axis_crossings(traj: Trajectory) -> list[CrossingEvent]:
         ti, tj = float(traj.t[i]), float(traj.t[j])
         xi, xj = float(x[i]), float(x[j])
         t_star = ti - xi * (tj - ti) / (xj - xi)
-        z_star, p_star = _interp_at(traj, i, j, t_star)
-        re_v = 2.0 * p_star.real
-        if re_v != 0.0:
-            direction = CrossingDirection.LEFT_TO_RIGHT if re_v > 0 else CrossingDirection.RIGHT_TO_LEFT
-        else:
-            direction = CrossingDirection.LEFT_TO_RIGHT if x[j] > x[i] else CrossingDirection.RIGHT_TO_LEFT
-        events.append(CrossingEvent(t_star, z_star.imag, direction, i))
+        frac = (t_star - ti) / (tj - ti)
+        y_star = float(y[i]) + frac * (float(y[j]) - float(y[i]))
+        direction = CrossingDirection.LEFT_TO_RIGHT if xj > 0 else CrossingDirection.RIGHT_TO_LEFT
+        events.append(CrossingEvent(t_star, y_star, direction, i))
     return events
 
 

@@ -5,12 +5,13 @@ Subcommands: ``simulate``, ``sweep-e2``, ``threshold``, ``wells``,
 ``a+bi`` with decimal reals (e.g. ``1+1i``, ``0.8``, ``-2.5i``).  A JSON
 config file (``--config``) may supply any flag value; explicit flags win.
 Its keys are the flag names with underscores for hyphens and ``m`` for
-``--M`` (``rel_tol``, ``summary_out``); an unknown key is a config error,
+``--M`` (``t_max``, ``summary_out``); an unknown key is a config error,
 and each value is converted and checked as its flag's value is.
-Each subcommand starts from one integrator preset (``run_preset`` for
+Each subcommand runs one integrator preset (``run_preset`` for
 ``simulate`` and each ``sweep-e2`` row, ``analysis.PROBE_CONFIG`` for
-``threshold``).  On ``simulate`` and ``sweep-e2`` the integrator flags and
-config keys override its fields; ``threshold`` always runs the probe preset.
+``threshold``).  The one integrator setting is ``--t-max`` (key ``t_max``)
+of ``simulate`` and ``sweep-e2``, which replaces the preset's horizon;
+``threshold`` has none.
 
 Exit codes: 0 success, 1 usage or config error, 2 numerical failure,
 3 ambiguous classification.
@@ -72,23 +73,13 @@ TAU_SCALE = 16.0
 TMAX_FLOOR = 200.0
 
 # A step's energy error, measured in z, grows as 1/|w|^2 on a whip's pass
-# near w = 0.  Over the 27 table rows it peaks at 3.56e-7 (E2 = 1.0; 2.05e-7
-# at 1.2, 3.8e-8 at 0.3), over the eight well-pair map runs at 6.8e-8.  A
-# limit of 1e-6 would leave a margin of only 2.8x; the relaxed guard keeps
-# such rows and still catches real blow-ups.
+# near w = 0.  Over the 27 table rows it peaks at 7.08e-7 (E2 = 1.0, 200,373
+# steps; 2.05e-7 at 1.2, 3.97e-8 at 0.3), over the eight well-pair map runs
+# at t = 340 at 3.39e-8 ((zeta, M) = (1.0, 4), 150,596 steps).  A limit of
+# 1e-6 would leave a margin of only 1.4x; the relaxed guard keeps such rows
+# and still catches real blow-ups.
 TUNNELING_DRIFT_LIMIT = 1e-3
 TUNNELING_ESCAPE_RADIUS = 12.0
-
-# IntegratorConfig fields that a flag or a config key of simulate and sweep-e2
-# may override, with their types
-INTEGRATOR_FIELDS = {
-    "rel_tol": float,
-    "abs_tol": float,
-    "t_max": float,
-    "max_steps": int,
-    "energy_drift_limit": float,
-    "escape_radius": float,
-}
 
 
 def parse_complex(text: str) -> complex:
@@ -154,14 +145,15 @@ def default_t_max(energy: complex) -> float:
     return max(TMAX_FLOOR, 40.0 * TAU_SCALE / abs(energy.imag))
 
 
-def run_preset(energy: complex) -> IntegratorConfig:
+def run_preset(energy: complex, t_max: float | None = None) -> IntegratorConfig:
     """Integrator preset of a run: bounded at real energy, tunneling otherwise.
 
+    It runs to ``t_max`` when given, else to ``default_t_max(energy)``.
     A bounded run escapes when it leaves its start's lattice cell: an open
     orbit at real energy runs down the well column with Re z bounded.
     (The third preset, for boundary probes, is ``analysis.PROBE_CONFIG``.)
     """
-    cfg = IntegratorConfig(t_max=default_t_max(energy), max_steps=10_000_000)
+    cfg = IntegratorConfig(t_max=default_t_max(energy) if t_max is None else t_max, max_steps=10_000_000)
     if energy.imag == 0:
         return replace(cfg, escape_y_span=CELL_EXIT_SPAN)
     return replace(cfg, energy_drift_limit=TUNNELING_DRIFT_LIMIT, escape_radius=TUNNELING_ESCAPE_RADIUS)
@@ -311,22 +303,21 @@ def cmd_sweep_e2(
     params: SystemParams,
     e1: float,
     e2_list: list[float],
-    overrides: dict | None = None,
+    t_max: float | None = None,
     out_path: str | None = None,
     workers: int | None = None,
 ) -> list[dict]:
     """Run one tunneling measurement per E2, concurrently, in input order.
 
-    Each row integrates with its own ``run_preset`` with the
-    IntegratorConfig fields in ``overrides`` replaced.  ``workers``
+    Each row integrates with the ``run_preset`` of its own energy, up to
+    ``t_max`` when given, else to that preset's horizon.  ``workers``
     defaults to one per row, at most one per CPU the process may run on.
     """
     if not e2_list:
         raise DomainError("empty E2 list")
     if not (all(e2 > 0 for e2 in e2_list) or all(e2 < 0 for e2 in e2_list)):
         raise DomainError("E2 values must all have the same sign")
-    overrides = overrides or {}
-    jobs = [(params.zeta, params.m_int, e1, e2, replace(run_preset(complex(e1, e2)), **overrides)) for e2 in e2_list]
+    jobs = [(params.zeta, params.m_int, e1, e2, run_preset(complex(e1, e2), t_max)) for e2 in e2_list]
     if workers is None:
         workers = min(len(jobs), _usable_cpus())
     if workers <= 1 or len(jobs) == 1:
@@ -422,11 +413,6 @@ def _e2_list(raw) -> list[float]:
         raise DomainError(f"bad e2 {raw!r}: want comma-separated numbers") from exc
 
 
-def _add_integrator_flags(p: argparse.ArgumentParser) -> None:
-    for key, kind in INTEGRATOR_FIELDS.items():
-        p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _Parser(prog="ptwells", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -441,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sim.add_argument("--trajectory-out", dest="trajectory_out")
     p_sim.add_argument("--events-out", dest="events_out")
     p_sim.add_argument("--summary-out", dest="summary_out")
-    _add_integrator_flags(p_sim)
+    p_sim.add_argument("--t-max", dest="t_max", type=float, help="integration horizon (default: the preset's)")
 
     p_sweep = sub.add_parser("sweep-e2", help="tunneling time vs imaginary energy")
     p_sweep.add_argument("--config", help="JSON file with flag defaults")
@@ -451,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument("--e2", help="comma-separated E2 values")
     p_sweep.add_argument("--out", help="sweep CSV path")
     p_sweep.add_argument("--workers", type=int)
-    _add_integrator_flags(p_sweep)
+    p_sweep.add_argument("--t-max", dest="t_max", type=float, help="integration horizon (default: each row's preset's)")
 
     p_thr = sub.add_parser("threshold", help="closed-orbit boundary offset for one well")
     p_thr.add_argument("--config", help="JSON file with flag defaults")
@@ -510,9 +496,6 @@ def _require(args, energy_flag: str) -> None:
 
 
 def _dispatch(args) -> int:
-    # IntegratorConfig fields set by a flag or a config key
-    overrides = {key: v for key, v in vars(args).items() if key in INTEGRATOR_FIELDS and v is not None}
-
     if args.command == "simulate":
         _require(args, "e")
         energy = parse_complex(args.e)
@@ -521,7 +504,7 @@ def _dispatch(args) -> int:
             energy=energy,
             start=args.start,
             branch=MomentumBranch(args.branch),
-            integrator=replace(run_preset(energy), **overrides),
+            integrator=run_preset(energy, args.t_max),
             trajectory_path=args.trajectory_out,
             events_path=args.events_out,
             summary_path=args.summary_out,
@@ -532,7 +515,7 @@ def _dispatch(args) -> int:
     if args.command == "sweep-e2":
         _require(args, "e2")
         params = SystemParams(args.zeta, args.m)
-        rows = cmd_sweep_e2(params, args.e1, _e2_list(args.e2), overrides, args.out, workers=args.workers)
+        rows = cmd_sweep_e2(params, args.e1, _e2_list(args.e2), args.t_max, args.out, workers=args.workers)
         failed = [r for r in rows if r["error"]]
         for r in rows:
             tau = "" if r["tau"] is None else f"{r['tau']:.6g}"

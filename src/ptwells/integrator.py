@@ -24,7 +24,9 @@ which is well conditioned in the charts.  The residual before the
 projection, |I| / (16 |w|^2) / max(1, |E|), is |H - E| / max(1, |E|) of
 the unprojected state, the energy error of one step: ``Trajectory.drift``.
 The first step whose drift exceeds ``energy_drift_limit`` is discarded
-and integration stops with ``Termination.DRIFT_EXCEEDED``.
+and integration stops.  The escape bounds are tested before the drift, on
+that step's end: the run ends ``Termination.ESCAPED`` if it lies beyond
+one, else ``Termination.DRIFT_EXCEEDED``.
 
 In z, where the samples are stored, H is ill-conditioned at a whip: one
 rounding of z and p moves H by about eps (|dV/dz| |z| + 2 |p|^2), the
@@ -180,8 +182,8 @@ class ReturnWatch:
     consecutive samples the orbit is the cubic Hermite of (z, p) in t with
     the slopes (2p, -dV/dz) of ``dynamics.flow``; a return is the first
     segment whose closest approach to the start lies within ``TOL``,
-    counted once a sample has left the ball of radius max(100 TOL, 1e-3)
-    about the start.  ``integrate`` feeds it each kept sample online and
+    counted once a sample has left the ball of radius 100 TOL about the
+    start.  ``integrate`` feeds it each kept sample online and
     ``analysis.classify_orbit`` replays a finished trajectory through it,
     so both find the same return.
     """
@@ -190,7 +192,7 @@ class ReturnWatch:
 
     def __init__(self, t0: float, z0: complex, p0: complex, params: SystemParams) -> None:
         self.z0, self.p0 = z0, p0
-        self.leave_sq = max(100.0 * self.TOL, 1e-3) ** 2
+        self.leave_sq = (100.0 * self.TOL) ** 2
         self.left = False
         self.rhs = flow(params)
         self.prev = (t0, 0j, 0j, *self.rhs(z0, p0)[:2])  # time, offset from the start, slope

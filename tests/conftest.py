@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -34,7 +32,7 @@ def fig_closed(params_main):
 def fig_tunneling(params_main):
     """Tunneling orbit: E = 1 + i from the origin (oscillates between n = -/+10)."""
     p0 = initial_momentum(0j, 1 + 1j, MomentumBranch.PRINCIPAL, params_main)
-    return integrate(0j, p0, replace(run_preset(1 + 1j), t_max=150.0), params_main)
+    return integrate(0j, p0, run_preset(1 + 1j, 150.0), params_main)
 
 
 @pytest.fixture()

@@ -146,7 +146,7 @@ def _map_run(zeta: float, m: int) -> Trajectory:
     t_max = 340.0 if zeta < 0.5 else 250.0
     # tight tolerances: at zeta=1 the nested spiral wraps pass within the
     # noise floor of looser runs and pick up spurious polyline crossings
-    cfg = replace(run_preset(1 + 1j), t_max=t_max, rel_tol=1e-12, abs_tol=1e-14)
+    cfg = replace(run_preset(1 + 1j, t_max), rel_tol=1e-12, abs_tol=1e-14)
     p0 = initial_momentum(0j, 1 + 1j, MomentumBranch.PRINCIPAL, params)
     return integrate(0j, p0, cfg, params)
 
@@ -174,7 +174,7 @@ def arbitration():
 @pytest.fixture(scope="module")
 def shift_run():
     z0 = well_center(WellIndex(Side.LEFT, -2), P_MAIN)
-    cfg = replace(run_preset(1 + 1j), t_max=260.0)
+    cfg = run_preset(1 + 1j, 260.0)
     p0 = initial_momentum(z0, 1 + 1j, MomentumBranch.PRINCIPAL, P_MAIN)
     return integrate(z0, p0, cfg, P_MAIN)
 
@@ -429,7 +429,7 @@ def test_criterion_7_qualitative(map_runs):
 
     plus = spiral_senses(map_runs[(0.1, 3)])
     p0 = initial_momentum(0j, 1 - 1j, MomentumBranch.PRINCIPAL, P_MAIN)
-    minus_run = integrate(0j, p0, replace(run_preset(1 - 1j), t_max=150.0), P_MAIN)
+    minus_run = integrate(0j, p0, run_preset(1 - 1j, 150.0), P_MAIN)
     minus = spiral_senses(minus_run)
     if not plus or not minus:
         problems.append("chirality: no usable spiral windows")

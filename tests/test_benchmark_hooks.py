@@ -10,6 +10,8 @@ settings.  A refactor that drops one of these names or settings breaks
 import importlib.util
 import pathlib
 
+import pytest
+
 import ptwells
 from ptwells import cli, dynamics, integrator
 
@@ -50,3 +52,18 @@ def test_workload_calls_into_the_package(tmp_path):
     assert isinstance(workloads._probe_config(ptwells), integrator.IntegratorConfig)
     ops = workloads.pass_boundary_search(ptwells, {"n": 0, "direction": 1}, 0, None, tmp_path)
     assert [op["ok"] for op in ops] == [True], ops
+
+
+@pytest.mark.parametrize(
+    "workload,inputs",
+    [
+        ("tunnel_table", {"e2": [6.7]}),
+        ("start_grid", {"points": [{"n": 0, "direction": 1, "offset": 0.45}, {"n": 0, "direction": -1, "offset": 0.6}]}),
+        ("figure_files", {}),
+    ],
+    ids=["tunnel_table", "start_grid", "figure_files"],
+)
+def test_workload_passes_once(workload, inputs, tmp_path):
+    # one small pass in this process, on one worker
+    ops = _load("workloads").PASSES[workload](ptwells, inputs, 1, None, tmp_path)
+    assert ops and all(op["ok"] for op in ops), ops

@@ -16,10 +16,19 @@ from ptwells.cli import (
     default_t_max,
     main,
     parse_complex,
+    run_preset,
 )
 
 CLOSED_START = "point:-2.047311112165265,-0.3113981633974483"  # 0.474 above left n=0
 COMMANDS = ("simulate", "sweep-e2", "threshold")  # the subcommands that read a config file
+# the integrator flags that simulate and sweep-e2 no longer take, each with a value
+REMOVED_FLAGS = {
+    "--rel-tol": "1e-10",
+    "--abs-tol": "1e-12",
+    "--max-steps": "100",
+    "--energy-drift-limit": "1e-3",
+    "--escape-radius": "12",
+}
 
 
 class TestParseComplex:
@@ -158,11 +167,21 @@ class TestSimulateCommand:
         assert summary["branch"] == "principal"
         assert summary["termination"] == "time_limit"
 
+    @pytest.mark.parametrize("energy", ["0.8", "1+1i"])
+    def test_runs_its_preset(self, energy, monkeypatch, capsys):
+        # the run's preset, with its horizon replaced only when --t-max is given
+        seen = _record_runs(monkeypatch)
+        args = ["simulate", "--zeta", "0.1", "--M", "3", "--e", energy]
+        assert main(args) == EXIT_OK
+        assert main([*args, "--t-max", "7"]) == EXIT_OK
+        preset = run_preset(parse_complex(energy))
+        assert seen == [preset, replace(preset, t_max=7.0)]
+
 
 class TestSweepCommand:
     def test_single_row_matches_simulate(self, tmp_path, capsys):
         params = SystemParams(0.1, 3)
-        rows = cmd_sweep_e2(params, 1.0, [4.0], {"t_max": 60.0, "max_steps": 5_000_000}, workers=1)
+        rows = cmd_sweep_e2(params, 1.0, [4.0], t_max=60.0, workers=1)
         assert len(rows) == 1
         row = rows[0]
         assert row["error"] == ""
@@ -170,7 +189,6 @@ class TestSweepCommand:
         args = [
             "simulate", "--zeta", "0.1", "--M", "3", "--e", "1+4i",
             "--start", "origin", "--t-max", "60",
-            "--energy-drift-limit", "1e-3", "--escape-radius", "12",
         ]
         assert main(args) == EXIT_OK
         summary = json.loads(capsys.readouterr().out)
@@ -187,7 +205,6 @@ class TestSweepCommand:
         args = [
             "sweep-e2", "--zeta", "0.1", "--M", "3", "--e1", "1",
             "--e2", "6.7,4.0", "--t-max", "40",
-            "--energy-drift-limit", "1e-3", "--escape-radius", "12",
             "--out", str(out), "--workers", "2",
         ]
         assert main(args) == EXIT_OK
@@ -199,17 +216,21 @@ class TestSweepCommand:
     def test_row_error_recorded(self, tmp_path):
         params = SystemParams(0.1, 3)
         # closed-orbit energy: classify fails to be tunneling, error column set
-        rows = cmd_sweep_e2(params, 1.0, [1.0], {"t_max": 5.0}, workers=1)
+        rows = cmd_sweep_e2(params, 1.0, [1.0], t_max=5.0, workers=1)
         assert len(rows) == 1
         assert rows[0]["tau"] is None
         assert rows[0]["error"] != ""
 
     def test_each_row_gets_its_own_horizon(self, monkeypatch):
-        # an integrator flag overrides one field of every row's own preset
+        # each row runs the preset of its own energy; --t-max replaces its horizon only
         seen = _record_runs(monkeypatch)
-        args = ["sweep-e2", "--zeta", "0.1", "--M", "3", "--e2", "6.7,0.3", "--rel-tol", "1e-10", "--workers", "1"]
+        args = ["sweep-e2", "--zeta", "0.1", "--M", "3", "--e2", "6.7,0.3", "--workers", "1"]
         assert main(args) == EXIT_OK
         assert [cfg.t_max for cfg in seen] == [200.0, pytest.approx(640.0 / 0.3)]
+        assert seen == [run_preset(1 + 6.7j), run_preset(1 + 0.3j)]
+        seen.clear()
+        assert main([*args, "--t-max", "50"]) == EXIT_OK
+        assert seen == [replace(run_preset(1 + 6.7j), t_max=50.0), replace(run_preset(1 + 0.3j), t_max=50.0)]
 
 
 def _record_runs(monkeypatch) -> list:
@@ -231,10 +252,10 @@ def _record_runs(monkeypatch) -> list:
 class TestIntegratorConfigKeys:
     def test_config_file_reaches_the_sweep(self, tmp_path, monkeypatch, capsys):
         cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps({"zeta": 0.1, "m": 3, "rel_tol": 1e-12}))
+        cfg_path.write_text(json.dumps({"zeta": 0.1, "m": 3, "t_max": 50.0}))
         seen = _record_runs(monkeypatch)
         assert main(["sweep-e2", "--config", str(cfg_path), "--e2", "1.0", "--workers", "1"]) == EXIT_OK
-        assert [cfg.rel_tol for cfg in seen] == [1e-12]
+        assert seen == [replace(run_preset(1 + 1j), t_max=50.0)]
 
     def test_threshold_config_takes_no_integrator_key(self, tmp_path, monkeypatch, capsys):
         # the probes always run analysis.PROBE_CONFIG
@@ -251,8 +272,18 @@ class TestIntegratorConfigKeys:
             ["threshold", "--e", "0.8", "--rel-tol", "1e-12"],
             ["simulate", "--e", "0.8", "--dt-init", "1e-3"],
             ["sweep-e2", "--e2", "1.0", "--dt-init", "1e-3"],
+            *[
+                [command, energy, value, flag, setting]
+                for command, energy, value in (("simulate", "--e", "0.8"), ("sweep-e2", "--e2", "1.0"))
+                for flag, setting in REMOVED_FLAGS.items()
+            ],
         ],
-        ids=["threshold-rel-tol", "simulate-dt-init", "sweep-e2-dt-init"],
+        ids=[
+            "threshold-rel-tol",
+            "simulate-dt-init",
+            "sweep-e2-dt-init",
+            *[f"{command}-{flag[2:]}" for command in ("simulate", "sweep-e2") for flag in REMOVED_FLAGS],
+        ],
     )
     def test_removed_flag_is_a_usage_error(self, args, monkeypatch, capsys):
         monkeypatch.setattr(cli, "run_simulation", _never)
@@ -261,6 +292,17 @@ class TestIntegratorConfigKeys:
             main([args[0], "--zeta", "0.1", "--M", "3", *args[1:]])
         assert exc_info.value.code == EXIT_USAGE
         assert f"unrecognized arguments: {' '.join(args[-2:])}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", [flag[2:].replace("-", "_") for flag in REMOVED_FLAGS])
+    @pytest.mark.parametrize("command", ["simulate", "sweep-e2"])
+    def test_removed_key_is_unknown(self, command, key, tmp_path, monkeypatch, capsys):
+        # a removed flag's key is unknown, whatever its value
+        monkeypatch.setattr(cli, "run_simulation", _never)
+        energy = {"simulate": {"e": "0.8"}, "sweep-e2": {"e2": "1.0"}}[command]
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"zeta": 0.1, "m": 3, **energy, key: "x"}))
+        assert main([command, "--config", str(cfg_path)]) == EXIT_USAGE
+        assert f"config error: config {str(cfg_path)!r}: unknown key(s) {key!r};" in capsys.readouterr().err
 
 
 def _never(*args, **kwargs):
@@ -271,7 +313,7 @@ class TestConfigFile:
     def test_workers_key_reaches_the_sweep(self, tmp_path, monkeypatch, capsys):
         seen = []
 
-        def sweep(params, e1, e2_list, overrides=None, out_path=None, workers=None):
+        def sweep(params, e1, e2_list, t_max=None, out_path=None, workers=None):
             seen.append(workers)
             return [{"e2": e2, "tau": 1.0, "error": ""} for e2 in e2_list]
 
@@ -328,7 +370,7 @@ class TestConfigFile:
         "command,key,value",
         [
             *[(command, "zeta", "x") for command in COMMANDS],
-            *[(command, key, "x") for command in ("simulate", "sweep-e2") for key in cli.INTEGRATOR_FIELDS],
+            *[(command, "t_max", "x") for command in ("simulate", "sweep-e2")],
             *[(command, "m", 3.5) for command in COMMANDS],
             ("simulate", "branch", "sideways"),
             ("sweep-e2", "e1", "one"),

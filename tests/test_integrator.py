@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,6 +10,7 @@ from ptwells import (
     IntegratorConfig,
     MomentumBranch,
     NonFiniteStateError,
+    OrbitKind,
     PhaseState,
     Side,
     SystemParams,
@@ -23,6 +25,7 @@ from ptwells import (
     potential_gradient,
     well_center,
 )
+from ptwells.cli import run_preset
 from ptwells.dynamics import chart_flow
 from ptwells.integrator import chart_step
 
@@ -142,6 +145,25 @@ class TestIntegrate:
         p0 = initial_momentum(z0, 0.8 + 0j, MomentumBranch.PRINCIPAL, P)
         traj = integrate(z0, p0, IntegratorConfig(t_max=60.0, escape_radius=4.0), P)
         assert traj.termination is Termination.ESCAPED
+
+    def test_discarded_step_that_leaves_the_cell_ends_escaped(self):
+        # 0.53 above left well 3 on the bounded preset: step 151 both exceeds
+        # the drift limit and leaves the cell.  The escape test comes first,
+        # so this valid open start ends escaped, not drift_exceeded
+        c = well_center(WellIndex(Side.LEFT, 3), P)
+        z0 = complex(c.real, c.imag + 0.53)
+        p0 = initial_momentum(z0, 0.8 + 0j, MomentumBranch.PRINCIPAL, P)
+        cfg = run_preset(0.8 + 0j)
+        traj = integrate(z0, p0, cfg, P)
+        assert traj.termination is Termination.ESCAPED
+        assert traj.n_accepted == 151 and len(traj) == 151  # the start and 150 kept steps
+        assert abs(traj.z[-1].imag - z0.imag) < cfg.escape_y_span  # the last kept sample is inside the cell
+        assert traj.max_drift <= cfg.energy_drift_limit
+        assert classify_orbit(traj).kind is OrbitKind.OPEN_ESCAPE
+        # without the cell exit, the same step ends the run by drift
+        unbounded = integrate(z0, p0, replace(cfg, escape_y_span=math.inf), P)
+        assert unbounded.termination is Termination.DRIFT_EXCEEDED
+        assert unbounded.n_accepted == 151 and np.array_equal(unbounded.t, traj.t)
 
     def test_step_limit(self):
         traj = integrate(0j, 1 + 1j, IntegratorConfig(t_max=100.0, max_steps=10), P)
