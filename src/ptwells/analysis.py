@@ -62,7 +62,7 @@ __all__ = [
 # Default spread of the two boundary probes about the separatrix.
 BOUNDARY_WIDTH = 1e-4
 
-# separatrix_offset's DP5 tolerances (~1e-14 off a 30-digit leaf) and step budget
+# separatrix_offset's DOP853 tolerances (~1e-14 off a 30-digit leaf) and step budget
 _LEAF_RTOL, _LEAF_ATOL, _LEAF_MAX_STEPS = 1e-13, 1e-15, 10_000
 
 # The exit from a start's lattice cell: |Im z - Im z0| beyond half the lattice
@@ -334,12 +334,10 @@ def _recurrence(traj: Trajectory) -> float | None:
     that never leaves the ball about its start, or None when there is no
     recurrence.
     """
-    z, p, t = traj.z.tolist(), traj.p.tolist(), traj.t.tolist()
-    watch = ReturnWatch(t[0], z[0], p[0], traj.params)
-    for k in range(1, len(t)):
-        t_return = watch.step(t[k], z[k], p[k])
-        if t_return is not None:
-            return t_return
+    watch = ReturnWatch(float(traj.t[0]), complex(traj.z[0]), complex(traj.p[0]), traj.params)
+    hit = watch.feed(traj.t[1:], traj.z[1:], traj.p[1:])
+    if hit is not None:
+        return hit[1]
     return None if watch.left else 0.0
 
 
@@ -401,7 +399,7 @@ def separatrix_offset(params: SystemParams, energy_real: float) -> float:
     for _ in range(_LEAF_MAX_STEPS):
         wn, vn, an, _, err = chart_step(accel, w, v, a, h, _LEAF_ATOL, _LEAF_RTOL)
         if err > 1.0:
-            h *= max(0.2, 0.9 * err**-0.2)
+            h *= max(0.2, 0.9 * err**-0.125)
             continue
         if abs(wn) >= r_w:
             for _ in range(8):  # Newton on the step length; d|w|/dh = Re(conj(w) w') / |w|
@@ -411,7 +409,7 @@ def separatrix_offset(params: SystemParams, energy_real: float) -> float:
                 return 0.5 * (cmath.phase(wn) + 0.5 * math.pi)
             break
         w, v, a = wn, vn, an
-        h *= min(5.0, 0.9 * err**-0.2) if err > 0 else 5.0
+        h *= min(5.0, 0.9 * err**-0.125) if err > 0 else 5.0
     raise AmbiguousOrbitError(
         f"the separatrix leaf did not land on |s| = r_w within {_LEAF_MAX_STEPS} steps ({params}, E={energy_real!r})"
     )

@@ -73,10 +73,10 @@ TAU_SCALE = 16.0
 TMAX_FLOOR = 200.0
 
 # A step's energy error, measured in z, grows as 1/|w|^2 on a whip's pass
-# near w = 0.  Over the 27 table rows it peaks at 7.08e-7 (E2 = 1.0, 200,373
-# steps; 2.05e-7 at 1.2, 3.97e-8 at 0.3), over the eight well-pair map runs
-# at t = 340 at 3.39e-8 ((zeta, M) = (1.0, 4), 150,596 steps).  A limit of
-# 1e-6 would leave a margin of only 1.4x; the relaxed guard keeps such rows
+# near w = 0.  Over the 27 table rows it peaks at 3.38e-7 (E2 = 1.0, 29,538
+# steps; 2.14e-7 at 1.2, 3.64e-8 at 0.3), over the eight well-pair map runs
+# at t = 340 at 3.44e-8 ((zeta, M) = (1.0, 4), 24,507 steps).  A limit of
+# 1e-6 would leave a margin of only 3.0x; the relaxed guard keeps such rows
 # and still catches real blow-ups.
 TUNNELING_DRIFT_LIMIT = 1e-3
 TUNNELING_ESCAPE_RADIUS = 12.0

@@ -21,6 +21,7 @@ __all__ = [
     "EnergyComponents",
     "flow",
     "chart_flow",
+    "chart_jerk",
     "potential",
     "potential_array",
     "potential_gradient",
@@ -117,6 +118,25 @@ def chart_flow(params: SystemParams, energy: complex) -> Callable[[complex], tup
         return e16 * w + 8.0 * b * (zw - i_m), e4 * w * w + b * b
 
     return accel
+
+
+def chart_jerk(params: SystemParams, energy: complex) -> Callable[[complex, complex], complex]:
+    """The third derivative in the chart of :func:`chart_flow`: (w, w') -> w''' = 2 Q''(w) w',
+    with 2 Q''(w) = 16E + 16 (zeta w - iM)^2 + 8 zeta (zeta w^2 - 2iM w + zeta).
+
+    It takes scalars or numpy arrays; the integrator's dense output evaluates
+    it at the step ends.
+    """
+    _require_finite(energy, "energy")
+    zeta = params.zeta
+    i_m = 1j * params.m_int
+    e16 = 16.0 * energy
+
+    def jerk(w, v):
+        u = zeta * w - i_m
+        return (e16 + 16.0 * u * u + 8.0 * zeta * ((u - i_m) * w + zeta)) * v
+
+    return jerk
 
 
 def potential(z: complex, params: SystemParams) -> complex:

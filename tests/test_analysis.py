@@ -279,6 +279,36 @@ class TestReturnStop:
         assert dist[i] <= ReturnWatch.TOL
         assert oc.period == pytest.approx(ta + s[i, 0] * h, rel=0, abs=1e-5 * h)
 
+    @pytest.mark.parametrize(
+        "n,offset",
+        [(0, "closed probe"), (0, "open probe"), (-2, "closed probe")]
+        + [(0, offset) for offset in (0.2, 0.4740, 0.52, 0.54, 0.6)],
+    )
+    def test_online_return_is_the_replayed_one(self, n, offset):
+        # the boundary probes above left wells 0 and -2 (where the return falls on
+        # the last sample of a block) and criterion 7(d)'s starts: the loop feeds
+        # the watch the samples it keeps, a block of steps at a time, and ends
+        # them at the return; the same start run on without the stop keeps the
+        # same samples, and the replay finds the same return on the same segment
+        if isinstance(offset, str):
+            offset = separatrix_offset(P, 0.8) + (0.5 if offset == "open probe" else -0.5) * BOUNDARY_WIDTH
+        c = well_center(WellIndex(Side.LEFT, n), P)
+        z0 = complex(c.real, c.imag + offset)
+        start = z0, initial_momentum(z0, 0.8 + 0j, MomentumBranch.PRINCIPAL, P)
+        cfg = replace(PROBE_CONFIG, t_max=30.0)
+        online = integrate(*start, cfg, P)
+        run_on = integrate(*start, replace(cfg, stop_at_return=False), P)
+        n = len(online)
+        for name in ("t", "z", "p", "drift"):
+            assert np.array_equal(getattr(online, name), getattr(run_on, name)[:n])
+        replayed = analysis._recurrence(run_on)
+        if online.termination is Termination.RETURNED:
+            assert replayed == classify_orbit(online).period
+            assert online.t[-2] < replayed <= online.t[-1]
+        else:
+            assert online.termination is Termination.ESCAPED and run_on.termination is Termination.ESCAPED
+            assert replayed is None and n == len(run_on)
+
     def test_without_the_return_stop_integrates_on(self):
         traj = integrate(*_probe_start(0.2), replace(PROBE_CONFIG, stop_at_return=False), P)
         assert traj.termination is Termination.TIME_LIMIT
@@ -350,9 +380,9 @@ class TestSeparatrix:
             separatrix_offset(P, math.nan)
 
     def test_step_budget_raises(self, monkeypatch):
-        # the leaf needs about 100 steps to reach the well line
-        monkeypatch.setattr(analysis, "_LEAF_MAX_STEPS", 10)
-        with pytest.raises(AmbiguousOrbitError, match="within 10 steps"):
+        # the leaf needs 9 trial steps to reach the well line
+        monkeypatch.setattr(analysis, "_LEAF_MAX_STEPS", 8)
+        with pytest.raises(AmbiguousOrbitError, match="within 8 steps"):
             separatrix_offset(P, 0.8)
 
 

@@ -15,7 +15,7 @@ from ptwells import (
     potential_gradient,
     real_axis_hermitian_potential,
 )
-from ptwells.dynamics import chart_flow, flow
+from ptwells.dynamics import chart_flow, chart_jerk, flow
 
 P = SystemParams(0.1, 3)
 
@@ -147,6 +147,17 @@ class TestChartFlow:
             expected = 4 * s * (4 * p * p + flow(P)(z, p)[1])
             assert abs(d2s - expected) <= 1e-11 * scale
             assert abs(q - 4 * s * s * p * p) <= 1e-11 * abs(s) * scale
+
+    def test_jerk_is_the_time_derivative_of_the_acceleration(self, rng):
+        # the third derivative is (d w''/dw) w': a central difference of the kernel's w''
+        for _ in range(50):
+            energy = complex(*rng.uniform(-4, 4, 2))
+            accel, jerk = chart_flow(P, energy), chart_jerk(P, energy)
+            w = complex(*rng.uniform(-2, 2, 2))
+            v = complex(*rng.uniform(-5, 5, 2))
+            d = 1e-5
+            expected = (accel(w + d)[0] - accel(w - d)[0]) / (2 * d) * v
+            assert abs(jerk(w, v) - expected) <= 1e-7 * abs(expected)
 
 
 class TestRealAxisPotential:

@@ -1,6 +1,5 @@
 import math
 from dataclasses import replace
-from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -25,9 +24,10 @@ from ptwells import (
     potential_gradient,
     well_center,
 )
+from ptwells import integrator
 from ptwells.cli import run_preset
 from ptwells.dynamics import chart_flow
-from ptwells.integrator import chart_step
+from ptwells.integrator import SAMPLES_PER_STEP, chart_step
 
 P = SystemParams(0.1, 3)
 
@@ -121,11 +121,28 @@ class TestIntegrate:
         assert np.abs(dz.real).max() <= 0.5
         assert len(detect_axis_crossings(fig_tunneling)) >= 3  # both charts are used
 
-    @pytest.mark.parametrize("fixture,steps", [("fig_closed", 12_398), ("fig_tunneling", 46_976)])
+    @pytest.mark.parametrize("fixture,steps", [("fig_closed", 2_029), ("fig_tunneling", 6_922)])
     def test_step_count_is_pinned(self, fixture, steps, request):
-        # the accepted steps of the first-order DP5 loop that the Nystrom form
-        # replaced: the same method must take the same steps, up to rounding
-        assert abs(request.getfixturevalue(fixture).n_accepted - steps) <= 0.005 * steps
+        # the accepted DOP853 steps, up to rounding; a change of the method or
+        # of its step control moves them
+        traj = request.getfixturevalue(fixture)
+        assert abs(traj.n_accepted - steps) <= 0.005 * steps
+        assert len(traj) == SAMPLES_PER_STEP * traj.n_accepted + 1
+
+    def test_interior_samples_are_as_accurate_as_step_ends(self):
+        # samples between step ends come from each step's degree-7 Hermite
+        # interpolant of w; each is checked against a rel_tol-1e-13 run that
+        # ends at its time.  Over the closed figure to t = 10 the interior
+        # samples are off by up to 4.0e-10 in z and 2.4e-8 in p, the step
+        # ends by 4.5e-10 and 2.7e-8 (p is large on the whips)
+        c = well_center(WellIndex(Side.LEFT, 0), P)
+        z0 = complex(c.real, c.imag + 0.4740)
+        p0 = initial_momentum(z0, 0.8 + 0j, MomentumBranch.PRINCIPAL, P)
+        traj = integrate(z0, p0, IntegratorConfig(t_max=10.0), P)
+        for i in (i for i in range(1, len(traj), 97) if i % SAMPLES_PER_STEP):
+            ref = integrate(z0, p0, IntegratorConfig(t_max=float(traj.t[i]), rel_tol=1e-13, abs_tol=1e-15), P)
+            assert abs(traj.z[i] - ref.z[-1]) <= 1e-9
+            assert abs(traj.p[i] - ref.p[-1]) <= 5e-8
 
     def test_retained_samples_respect_drift_limit(self, fig_tunneling):
         limit = fig_tunneling.config.energy_drift_limit
@@ -147,23 +164,23 @@ class TestIntegrate:
         assert traj.termination is Termination.ESCAPED
 
     def test_discarded_step_that_leaves_the_cell_ends_escaped(self):
-        # 0.53 above left well 3 on the bounded preset: step 151 both exceeds
-        # the drift limit and leaves the cell.  The escape test comes first,
-        # so this valid open start ends escaped, not drift_exceeded
-        c = well_center(WellIndex(Side.LEFT, 3), P)
+        # 0.53 above left well 0 on the bounded preset: step 32 both exceeds
+        # the drift limit (1.8e-8) and leaves the cell.  The escape test comes
+        # first, so this valid open start ends escaped, not drift_exceeded
+        c = well_center(WellIndex(Side.LEFT, 0), P)
         z0 = complex(c.real, c.imag + 0.53)
         p0 = initial_momentum(z0, 0.8 + 0j, MomentumBranch.PRINCIPAL, P)
         cfg = run_preset(0.8 + 0j)
         traj = integrate(z0, p0, cfg, P)
         assert traj.termination is Termination.ESCAPED
-        assert traj.n_accepted == 151 and len(traj) == 151  # the start and 150 kept steps
+        assert traj.n_accepted == 32 and len(traj) == SAMPLES_PER_STEP * 31 + 1  # the start and 31 kept steps
         assert abs(traj.z[-1].imag - z0.imag) < cfg.escape_y_span  # the last kept sample is inside the cell
         assert traj.max_drift <= cfg.energy_drift_limit
         assert classify_orbit(traj).kind is OrbitKind.OPEN_ESCAPE
         # without the cell exit, the same step ends the run by drift
         unbounded = integrate(z0, p0, replace(cfg, escape_y_span=math.inf), P)
         assert unbounded.termination is Termination.DRIFT_EXCEEDED
-        assert unbounded.n_accepted == 151 and np.array_equal(unbounded.t, traj.t)
+        assert unbounded.n_accepted == 32 and np.array_equal(unbounded.t, traj.t)
 
     def test_step_limit(self):
         traj = integrate(0j, 1 + 1j, IntegratorConfig(t_max=100.0, max_steps=10), P)
@@ -208,50 +225,41 @@ class TestIntegrate:
             integrate(complex(400.0, 0.0), 0j, IntegratorConfig(), P)
 
 
-# Dormand-Prince 5(4) as printed (Dormand & Prince 1980): stage rows, the
-# fifth-order weights (stage 7, FSAL) and the error weights of stages 1-7
-DP5_A = [
-    [],
-    [F(1, 5)],
-    [F(3, 40), F(9, 40)],
-    [F(44, 45), F(-56, 15), F(32, 9)],
-    [F(19372, 6561), F(-25360, 2187), F(64448, 6561), F(-212, 729)],
-    [F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176), F(-5103, 18656)],
-]
-DP5_B = [F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84)]
-DP5_E = [F(71, 57600), F(0), F(-71, 16695), F(71, 1920), F(-17253, 339200), F(22, 525), F(-1, 40)]
-
-
 class TestChartStep:
     def test_equals_the_first_order_step(self, rng):
-        # one DP5 step on y = (w, w'), y' = (w', w''(w)), taken at 40 digits
+        # one DOP853 step on y = (w, w'), y' = (w', w''(w)), taken at 40 digits
+        # with the same float tableau as the Nystrom form
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
-
-        def num(x):
-            return mp.mpf(x.numerator) / x.denominator
+        rows = [{}, *integrator._DOP853_ROWS[:-1]]  # stages 1-12
+        b = integrator._DOP853_ROWS[-1]
+        e5 = integrator._DOP853_E5
+        bhat3 = integrator._DOP853_BHAT3
+        e3 = {j: b.get(j, 0.0) - bhat3.get(j, 0.0) for j in {*b, *bhat3}}
 
         def first_order(accel, w, v, h, atol, rtol):
-            """(w, w', w'', Q) at the new point, the error estimate, and the
-            same estimate over the absolute values of its terms."""
+            """(w, w', w'', Q) at the new point, the error norm, and the same norm
+            over the absolute values of the estimates' terms."""
             w, v, h = mp.mpc(w), mp.mpc(v), mp.mpf(h)
             ks = []
-            for row in DP5_A:
-                sw = sum((num(c) * kw for c, (kw, _) in zip(row, ks)), mp.mpc(0))
-                sv = sum((num(c) * kv for c, (_, kv) in zip(row, ks)), mp.mpc(0))
+            for row in rows:
+                sw = sum((mp.mpf(x) * ks[j][0] for j, x in row.items()), mp.mpc(0))
+                sv = sum((mp.mpf(x) * ks[j][1] for j, x in row.items()), mp.mpc(0))
                 ks.append((v + h * sv, accel(w + h * sw)[0]))
-            wn = w + h * sum(num(c) * kw for c, (kw, _) in zip(DP5_B, ks))
-            vn = v + h * sum(num(c) * kv for c, (_, kv) in zip(DP5_B, ks))
+            wn = w + h * sum(mp.mpf(x) * ks[j][0] for j, x in b.items())
+            vn = v + h * sum(mp.mpf(x) * ks[j][1] for j, x in b.items())
             an, qn = accel(wn)
-            ks.append((vn, an))
-            sw, sv = max(abs(w), abs(wn)), max(abs(v), abs(vn))
+            sw, sv = atol + rtol * max(abs(w), abs(wn)), atol + rtol * max(abs(v), abs(vn))
 
-            def rms(total):
-                ew = h * total([num(e) * kw for e, (kw, _) in zip(DP5_E, ks)]) / (atol + rtol * sw)
-                ev = h * total([num(e) * kv for e, (_, kv) in zip(DP5_E, ks)]) / (atol + rtol * sv)
-                return mp.sqrt((ew * ew + ev * ev) / 2)
+            def norm(total):
+                def sq(e):
+                    ew = h * total([mp.mpf(x) * ks[j][0] for j, x in e.items()]) / sw
+                    ev = h * total([mp.mpf(x) * ks[j][1] for j, x in e.items()]) / sv
+                    return ew * ew + ev * ev
 
-            return (wn, vn, an, qn), rms(lambda terms: abs(sum(terms))), rms(lambda terms: sum(map(abs, terms)))
+                return sq(e5) / mp.sqrt(2 * (sq(e5) + sq(e3) / 100))
+
+            return (wn, vn, an, qn), norm(lambda terms: abs(sum(terms))), norm(lambda terms: sum(map(abs, terms)))
 
         for _ in range(50):
             accel = chart_flow(P, complex(1.0, rng.uniform(0.0, 7.0)))
@@ -262,6 +270,23 @@ class TestChartStep:
             ref, ref_err, ref_scale = first_order(accel, w, v, h, 1e-12, 1e-10)
             for got, want in zip(state, ref):
                 assert abs(got - want) <= 1e-14 * abs(want)
-            # the estimate is a difference of terms of the step's size, so its
-            # rounding is relative to them, not to the estimate
+            # the estimates are differences of terms of the step's size, so their
+            # rounding is relative to them, not to the estimates
             assert abs(err - ref_err) <= 1e-14 * (ref_err + ref_scale)
+
+    def test_constants_are_dop853s(self):
+        # the copied tableau against scipy's copy of Hairer's dop853.f, and the
+        # Nystrom constants against the same products taken in numpy
+        coef = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        a = np.zeros((13, 13))
+        for i, row in enumerate(integrator._DOP853_ROWS, 1):
+            for j, x in row.items():
+                a[i, j] = x
+        assert np.array_equal(a, coef.A[:13, :13])
+        assert np.array_equal(integrator._B[:12], coef.B) and integrator._B[12] == 0.0
+        assert np.array_equal(integrator._E5, coef.E5)
+        assert np.array_equal(integrator._E3, coef.E3)
+        assert np.allclose(integrator._C, coef.C[:13], rtol=0.0, atol=2e-15)  # c_i: the row sums of A
+        assert np.allclose(integrator._AA, a @ a, rtol=1e-14, atol=1e-15)
+        assert np.allclose(integrator._E5A, coef.E5 @ a, rtol=1e-14, atol=1e-15)
+        assert np.allclose(integrator._E3A, coef.E3 @ a, rtol=1e-14, atol=1e-15)
