@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import SystemParams, chart_flow
+from .dynamics import SystemParams, chart_coefficients, chart_flow
 from .errors import (
     AmbiguousOrbitError,
     BracketingError,
@@ -261,26 +261,15 @@ def anchor_episodes(traj: Trajectory) -> list[tuple[WellIndex, int, float]]:
     d = np.where(right_closer, d_r, d_l)
 
     episodes: list[tuple[WellIndex, int, float]] = []
-    inside = d < ANCHOR_RADIUS
-    i = 0
-    n_tot = len(d)
-    while i < n_tot:
-        if not inside[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n_tot and inside[j + 1]:
-            j += 1
-        k = i + int(np.argmin(d[i : j + 1]))
-        side = Side.RIGHT if right_closer[k] else Side.LEFT
-        n = int(n_r[k]) if right_closer[k] else int(n_l[k])
-        well = WellIndex(side, n)
-        if episodes and episodes[-1][0] == well:
-            if d[k] < episodes[-1][2]:
-                episodes[-1] = (well, k, float(d[k]))
-        else:
+    # the runs [i, j) of samples inside, from the edges of the inside mask padded with False
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], d < ANCHOR_RADIUS, [False]))))
+    for i, j in zip(edges[::2].tolist(), edges[1::2].tolist()):
+        k = i + int(np.argmin(d[i:j]))
+        well = WellIndex(Side.RIGHT, int(n_r[k])) if right_closer[k] else WellIndex(Side.LEFT, int(n_l[k]))
+        if not episodes or episodes[-1][0] != well:
             episodes.append((well, k, float(d[k])))
-        i = j + 1
+        elif d[k] < episodes[-1][2]:
+            episodes[-1] = (well, k, float(d[k]))
     return episodes
 
 
@@ -391,20 +380,20 @@ def separatrix_offset(params: SystemParams, energy_real: float) -> float:
     s' = -2 zeta, so the offset (arg s + pi/2)/2 holds for every well and both
     directions.
     """
-    accel = chart_flow(params, complex(energy_real))
+    q = chart_coefficients(params, complex(energy_real))
     r_w = math.exp(-math.asinh(params.m_int / params.zeta))
     w, v = 0j, complex(2.0 * params.zeta)
-    a = accel(w)[0]
+    a = chart_flow(params, complex(energy_real))(w)[0]
     h = 1e-3
     for _ in range(_LEAF_MAX_STEPS):
-        wn, vn, an, _, err = chart_step(accel, w, v, a, h, _LEAF_ATOL, _LEAF_RTOL)
+        wn, vn, an, _, err = chart_step(q, w, v, a, h, _LEAF_ATOL, _LEAF_RTOL)
         if err > 1.0:
             h *= max(0.2, 0.9 * err**-0.125)
             continue
         if abs(wn) >= r_w:
             for _ in range(8):  # Newton on the step length; d|w|/dh = Re(conj(w) w') / |w|
                 h -= (abs(wn) - r_w) * abs(wn) / (wn.conjugate() * vn).real
-                wn, vn = chart_step(accel, w, v, a, h, _LEAF_ATOL, _LEAF_RTOL)[:2]
+                wn, vn = chart_step(q, w, v, a, h, _LEAF_ATOL, _LEAF_RTOL)[:2]
             if abs(abs(wn) - r_w) <= 1e-14 * r_w:
                 return 0.5 * (cmath.phase(wn) + 0.5 * math.pi)
             break

@@ -177,24 +177,19 @@ def _classification_payload(oc: OrbitClass) -> dict:
 
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     err1, err2 = traj.energy_component_errors()
+    cols = (traj.t, traj.z.real, traj.z.imag, traj.p.real, traj.p.imag, err1, err2)
     with open(path, "w") as fh:
         fh.write("t,re_z,im_z,re_p,im_p,e1_err,e2_err\n")
-        for i in range(len(traj)):
-            fh.write(
-                f"{fmt(traj.t[i])},{fmt(traj.z[i].real)},{fmt(traj.z[i].imag)},"
-                f"{fmt(traj.p[i].real)},{fmt(traj.p[i].imag)},{fmt(err1[i])},{fmt(err2[i])}\n"
-            )
+        for i in range(0, len(traj), 4096):  # 4096 rows at a time: tolist() makes a float object per value
+            rows = zip(*(c[i : i + 4096].tolist() for c in cols))
+            fh.writelines(f"{t!r},{x!r},{y!r},{u!r},{v!r},{e!r},{f!r}\n" for t, x, y, u, v, e, f in rows)
 
 
 def write_events_jsonl(traj: Trajectory, oc: OrbitClass | None, path: str) -> None:
     with open(path, "w") as fh:
         for ev in detect_axis_crossings(traj):
-            fh.write(
-                json.dumps(
-                    {"type": "crossing", "t": ev.t_cross, "y": ev.y_at_cross, "dir": ev.direction.value}
-                )
-                + "\n"
-            )
+            crossing = {"type": "crossing", "t": ev.t_cross, "y": ev.y_at_cross, "dir": ev.direction.value}
+            fh.write(json.dumps(crossing) + "\n")
         if oc is not None:
             fh.write(json.dumps({"type": "classification", **_classification_payload(oc)}) + "\n")
 

@@ -20,6 +20,7 @@ __all__ = [
     "SystemParams",
     "EnergyComponents",
     "flow",
+    "chart_coefficients",
     "chart_flow",
     "chart_jerk",
     "potential",
@@ -72,8 +73,8 @@ def flow(params: SystemParams) -> Callable[[complex, complex], tuple[complex, co
     share four real evaluations.  It serves the quantities evaluated in z:
     :func:`potential`, :func:`potential_gradient`, ``integrator.derivative``
     and the slopes of the integrator's return watch; the integration loop
-    steps :func:`chart_flow`.  A cosh or sinh overflow raises
-    NonFiniteStateError.
+    steps the chart polynomial of :func:`chart_coefficients`.  A cosh or
+    sinh overflow raises NonFiniteStateError.
     """
     zeta = params.zeta
     i_m = 1j * params.m_int
@@ -98,43 +99,46 @@ def flow(params: SystemParams) -> Callable[[complex, complex], tuple[complex, co
     return rhs
 
 
+def chart_coefficients(params: SystemParams, energy: complex) -> tuple[complex, complex, complex, complex, complex]:
+    """The coefficients (q0, q1, q2, q3, q4) of the chart polynomial at energy E,
+    Q(w) = 4E w^2 + (zeta w^2 - 2iM w + zeta)^2 = q0 + q1 w + q2 w^2 + q3 w^3 + q4 w^4:
+    q0 = q4 = zeta^2, q1 = q3 = -4iM zeta and q2 = 4E - 4M^2 + 2 zeta^2.  Q is written
+    out here only; :func:`chart_flow`, :func:`chart_jerk` and ``integrator.chart_step``
+    evaluate it and its derivatives in Horner form on these coefficients."""
+    _require_finite(energy, "energy")
+    zeta, m = params.zeta, params.m_int
+    q0, q1 = complex(zeta * zeta), -4j * m * zeta
+    return q0, q1, 4.0 * energy - 4.0 * m * m + 2.0 * zeta * zeta, q1, q0
+
+
 def chart_flow(params: SystemParams, energy: complex) -> Callable[[complex], tuple[complex, complex]]:
-    """The flow in the chart w = e^{2z} at energy E as one scalar kernel:
-    w -> (w'' = 2 Q'(w), Q(w)), with Q(w) = 4E w^2 + (zeta w^2 - 2iM w + zeta)^2.
+    """The flow in the chart w = e^{2z} at energy E as one kernel, on scalars or numpy
+    arrays: w -> (w'' = 2 Q'(w), Q(w)), with Q of :func:`chart_coefficients`.
 
     On the shell H = E, w' = 4wp and w'^2 = 4 Q(w).  Re z = -inf is the regular
     point w = 0.  The chart w = e^{-2z} has the same flow, since w^4 Q(1/w) = Q(w).
     """
-    _require_finite(energy, "energy")
-    zeta = params.zeta
-    i_m = 1j * params.m_int
-    i_2m = 2.0 * i_m
-    e4 = 4.0 * energy
-    e16 = 16.0 * energy
+    q0, q1, q2, q3, q4 = chart_coefficients(params, energy)
+    k0, k1, k2, k3 = 2.0 * q1, 4.0 * q2, 6.0 * q3, 8.0 * q4
 
-    def accel(w: complex) -> tuple[complex, complex]:
-        zw = zeta * w
-        b = (zw - i_2m) * w + zeta
-        return e16 * w + 8.0 * b * (zw - i_m), e4 * w * w + b * b
+    def accel(w):
+        return ((k3 * w + k2) * w + k1) * w + k0, (((q4 * w + q3) * w + q2) * w + q1) * w + q0
 
     return accel
 
 
 def chart_jerk(params: SystemParams, energy: complex) -> Callable[[complex, complex], complex]:
     """The third derivative in the chart of :func:`chart_flow`: (w, w') -> w''' = 2 Q''(w) w',
-    with 2 Q''(w) = 16E + 16 (zeta w - iM)^2 + 8 zeta (zeta w^2 - 2iM w + zeta).
+    with Q of :func:`chart_coefficients`.
 
     It takes scalars or numpy arrays; the integrator's dense output evaluates
     it at the step ends.
     """
-    _require_finite(energy, "energy")
-    zeta = params.zeta
-    i_m = 1j * params.m_int
-    e16 = 16.0 * energy
+    _, _, q2, q3, q4 = chart_coefficients(params, energy)
+    j0, j1, j2 = 4.0 * q2, 12.0 * q3, 24.0 * q4
 
     def jerk(w, v):
-        u = zeta * w - i_m
-        return (e16 + 16.0 * u * u + 8.0 * zeta * ((u - i_m) * w + zeta)) * v
+        return ((j2 * w + j1) * w + j0) * v
 
     return jerk
 

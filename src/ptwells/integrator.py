@@ -10,11 +10,12 @@ under PI step control advances (w, w') in Nystrom form (Hairer, Norsett &
 Wanner, *Solving ODEs I*, II.5 and II.14): w'' does not depend on w', so
 the stages, the new w and its error estimates are sums of the stage
 accelerations weighted by A^2, bA, e5 A and e3 A of the same tableau, and
-the steps are the first-order pair's up to rounding.  At |w| > 1 the loop
-changes chart, w -> 1/w and w' -> -w'/w^2.  A step that turns w by more
-than 1 rad, or scales |w| by more than e, is rejected and halved: the
-integer count k of turns about w = 0 then stays exact, and approaches to
-w = 0 are resolved.
+the steps are the first-order pair's up to rounding.  Each stage evaluates
+2 Q' inline on ``dynamics.chart_coefficients``; the kernel runs only where
+the loop enters a chart.  At |w| > 1 the loop changes chart, w -> 1/w and
+w' -> -w'/w^2.  A step that turns w by more than 1 rad, or scales |w| by
+more than e, is rejected and halved: the integer count k of turns about
+w = 0 then stays exact, and approaches to w = 0 are resolved.
 
 The loop keeps only the step ends.  Every ``_BLOCK_STEPS`` accepted steps,
 and at the end of the run, numpy emits ``SAMPLES_PER_STEP`` samples per
@@ -32,13 +33,16 @@ later stop.
 After each step the state is projected onto the energy shell
 I = w'^2 - 4 Q(w) = 0 by one Newton step along conj(grad I) / |grad I|^2
 (Hairer, Lubich & Wanner, *Geometric Numerical Integration*, IV.4),
-which is well conditioned in the charts.  The residual before the
-projection, |I| / (16 |w|^2) / max(1, |E|), is |H - E| / max(1, |E|) of
-the unprojected state, the energy error of one step: ``Trajectory.drift``.
-The first step whose drift exceeds ``energy_drift_limit`` is discarded
-and integration stops.  The escape bounds are tested before the drift, on
-that step's end: the run ends ``Termination.ESCAPED`` if it lies beyond
-one, else ``Termination.DRIFT_EXCEEDED``.
+which is well conditioned in the charts but at the equilibria, double roots
+of Q where grad I = 0 and Q's rounding is the residual: a projection that
+would move w or w' by more than atol + rtol times its size is skipped.  The
+residual before the projection, |I| / (16 |w|^2) / max(1, |E|), is
+|H - E| / max(1, |E|) of the unprojected state, the energy error of one
+step: ``Trajectory.drift``.  The first step whose drift exceeds
+``energy_drift_limit`` is discarded and integration stops.  The escape
+bounds are tested before the drift, on that step's end: the run ends
+``Termination.ESCAPED`` if it lies beyond one, else
+``Termination.DRIFT_EXCEEDED``.
 
 In z, where the samples are stored, H is ill-conditioned at a whip: one
 rounding of z and p moves H by about eps (|dV/dz| |z| + 2 |p|^2), the
@@ -56,7 +60,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import SystemParams, chart_flow, chart_jerk, flow, hamiltonian, potential, potential_array
+from .dynamics import SystemParams, chart_coefficients, chart_flow, chart_jerk, flow, hamiltonian, potential
+from .dynamics import potential_array
 from .errors import DomainError, NonFiniteStateError
 
 __all__ = [
@@ -344,7 +349,7 @@ def _nonzero(u):
 
 _C, _AA, _B, _E5, _E3, _E5A, _E3A = _nystrom()
 _C1, _C2, _C3, _C4, _C5, _C6, _C7, _C8, _C9, _C10, _C11 = _C[1:12]
-# the nonzero entries of rows 3-12 of A^2, and of b A, b, e A and e, by stage
+# the nonzero entries of rows 3-12 of A^2, and of b A, b, e A, e5 and bhat3, by stage
 (
     (_A2_0,),
     (_A3_0, _A3_1),
@@ -362,44 +367,47 @@ _P0, _P3, _P4, _P5, _P6, _P7, _P8, _P9, _P10 = _nonzero(_E5A)
 _Q0, _Q3, _Q4, _Q5, _Q6, _Q7, _Q8, _Q9, _Q10 = _nonzero(_E3A)
 _B0, _B5, _B6, _B7, _B8, _B9, _B10, _B11 = _nonzero(_B)
 _F0, _F5, _F6, _F7, _F8, _F9, _F10, _F11 = _nonzero(_E5)
-_G0, _G5, _G6, _G7, _G8, _G9, _G10, _G11 = _nonzero(_E3)
+_H0, _H8, _H11 = _DOP853_BHAT3.values()
 
 
-def chart_step(accel, w: complex, v: complex, a: complex, h: float, atol: float, rtol: float):
-    """One DOP853 step of w'' = 2 Q'(w) in Nystrom form under the chart kernel ``accel``
-    from (w, w'), where w'' = a: the new w, w', w'' and Q(w), and the error norm of
-    DOP853, which combines the fifth- and third-order estimates of w and w', each
-    over atol + rtol times its larger end."""
+def chart_step(q, w: complex, v: complex, a: complex, h: float, atol: float, rtol: float):
+    """One DOP853 step of w'' = 2 Q'(w) in Nystrom form from (w, w'), where w'' = a, on Q's
+    coefficients ``q`` (``dynamics.chart_coefficients``), evaluated inline in Horner form:
+    the new w, w', w'' and Q(w), and the error norm of DOP853, which combines the fifth- and
+    third-order estimates of w and w', each over atol + rtol times its larger end."""
+    q0, q1, q2, q3, q4 = q
+    k0, k1, k2, k3 = 2.0 * q1, 4.0 * q2, 6.0 * q3, 8.0 * q4  # 2 Q'(u) = ((k3 u + k2) u + k1) u + k0
     hv = h * v
     hh = h * h
     g0 = a
-    g1 = accel(w + _C1 * hv)[0]
-    g2 = accel(w + _C2 * hv + hh * (_A2_0 * g0))[0]
-    g3 = accel(w + _C3 * hv + hh * (_A3_0 * g0 + _A3_1 * g1))[0]
-    g4 = accel(w + _C4 * hv + hh * (_A4_0 * g0 + _A4_1 * g1 + _A4_2 * g2))[0]
-    g5 = accel(w + _C5 * hv + hh * (_A5_0 * g0 + _A5_2 * g2 + _A5_3 * g3))[0]
-    g6 = accel(w + _C6 * hv + hh * (_A6_0 * g0 + _A6_2 * g2 + _A6_3 * g3 + _A6_4 * g4))[0]
-    g7 = accel(w + _C7 * hv + hh * (_A7_0 * g0 + _A7_2 * g2 + _A7_3 * g3 + _A7_4 * g4 + _A7_5 * g5))[0]
+    g1 = ((k3 * (u := w + _C1 * hv) + k2) * u + k1) * u + k0
+    g2 = ((k3 * (u := w + _C2 * hv + hh * (_A2_0 * g0)) + k2) * u + k1) * u + k0
+    g3 = ((k3 * (u := w + _C3 * hv + hh * (_A3_0 * g0 + _A3_1 * g1)) + k2) * u + k1) * u + k0
+    g4 = ((k3 * (u := w + _C4 * hv + hh * (_A4_0 * g0 + _A4_1 * g1 + _A4_2 * g2)) + k2) * u + k1) * u + k0
+    g5 = ((k3 * (u := w + _C5 * hv + hh * (_A5_0 * g0 + _A5_2 * g2 + _A5_3 * g3)) + k2) * u + k1) * u + k0
+    g6 = ((k3 * (u := w + _C6 * hv + hh * (_A6_0 * g0 + _A6_2 * g2 + _A6_3 * g3 + _A6_4 * g4)) + k2) * u + k1) * u + k0
+    s7 = _A7_0 * g0 + _A7_2 * g2 + _A7_3 * g3 + _A7_4 * g4 + _A7_5 * g5
+    g7 = ((k3 * (u := w + _C7 * hv + hh * s7) + k2) * u + k1) * u + k0
     s8 = _A8_0 * g0 + _A8_2 * g2 + _A8_3 * g3 + _A8_4 * g4 + _A8_5 * g5 + _A8_6 * g6
-    g8 = accel(w + _C8 * hv + hh * s8)[0]
+    g8 = ((k3 * (u := w + _C8 * hv + hh * s8) + k2) * u + k1) * u + k0
     s9 = _A9_0 * g0 + _A9_2 * g2 + _A9_3 * g3 + _A9_4 * g4 + _A9_5 * g5 + _A9_6 * g6 + _A9_7 * g7
-    g9 = accel(w + _C9 * hv + hh * s9)[0]
+    g9 = ((k3 * (u := w + _C9 * hv + hh * s9) + k2) * u + k1) * u + k0
     s10 = _A10_0 * g0 + _A10_2 * g2 + _A10_3 * g3 + _A10_4 * g4 + _A10_5 * g5 + _A10_6 * g6 + _A10_7 * g7
-    g10 = accel(w + _C10 * hv + hh * (s10 + _A10_8 * g8))[0]
+    g10 = ((k3 * (u := w + _C10 * hv + hh * (s10 + _A10_8 * g8)) + k2) * u + k1) * u + k0
     s11 = _A11_0 * g0 + _A11_2 * g2 + _A11_3 * g3 + _A11_4 * g4 + _A11_5 * g5 + _A11_6 * g6 + _A11_7 * g7
-    g11 = accel(w + _C11 * hv + hh * (s11 + _A11_8 * g8 + _A11_9 * g9))[0]
+    g11 = ((k3 * (u := w + _C11 * hv + hh * (s11 + _A11_8 * g8 + _A11_9 * g9)) + k2) * u + k1) * u + k0
     bw = _W0 * g0 + _W3 * g3 + _W4 * g4 + _W5 * g5 + _W6 * g6 + _W7 * g7 + _W8 * g8 + _W9 * g9 + _W10 * g10
     wn = w + hv + hh * bw
-    vn = v + h * (_B0 * g0 + _B5 * g5 + _B6 * g6 + _B7 * g7 + _B8 * g8 + _B9 * g9 + _B10 * g10 + _B11 * g11)
-    an, qn = accel(wn)
+    vn = v + h * (bg := _B0 * g0 + _B5 * g5 + _B6 * g6 + _B7 * g7 + _B8 * g8 + _B9 * g9 + _B10 * g10 + _B11 * g11)
+    an, qn = ((k3 * wn + k2) * wn + k1) * wn + k0, (((q4 * wn + q3) * wn + q2) * wn + q1) * wn + q0
     x, y, s, u = abs(w), abs(wn), abs(v), abs(vn)  # the larger of each pair below, without the slower max()
     sw = atol + rtol * (x if x > y else y)
     sv = atol + rtol * (s if s > u else u)
-    # the fifth- and third-order error estimates of w and w', over their scales
+    # the fifth- and third-order error estimates of w and w', over their scales (e3 g = b g - bhat3 g)
     e5w = abs(_P0 * g0 + _P3 * g3 + _P4 * g4 + _P5 * g5 + _P6 * g6 + _P7 * g7 + _P8 * g8 + _P9 * g9 + _P10 * g10)
     e3w = abs(_Q0 * g0 + _Q3 * g3 + _Q4 * g4 + _Q5 * g5 + _Q6 * g6 + _Q7 * g7 + _Q8 * g8 + _Q9 * g9 + _Q10 * g10)
     e5v = abs(_F0 * g0 + _F5 * g5 + _F6 * g6 + _F7 * g7 + _F8 * g8 + _F9 * g9 + _F10 * g10 + _F11 * g11) * h / sv
-    e3v = abs(_G0 * g0 + _G5 * g5 + _G6 * g6 + _G7 * g7 + _G8 * g8 + _G9 * g9 + _G10 * g10 + _G11 * g11) * h / sv
+    e3v = abs(bg - (_H0 * g0 + _H8 * g8 + _H11 * g11)) * h / sv
     e5w *= hh / sw
     e3w *= hh / sw
     # DOP853's norm, e5^2 / sqrt(e5^2 + e3^2 / 100) over the squared sums e5^2 and e3^2, as an RMS of two
@@ -454,7 +462,7 @@ _THETA = np.arange(1, SAMPLES_PER_STEP + 1) / SAMPLES_PER_STEP
 _HERMITE_W, _HERMITE_V = _hermite(_THETA)
 
 
-def _emit(steps: list, accel, jerk) -> tuple[np.ndarray, ...]:
+def _emit(steps: list, accel, jerk, atol: float, rtol: float) -> tuple[np.ndarray, ...]:
     """The samples of a block of accepted steps, SAMPLES_PER_STEP per step.
 
     Each row of ``steps`` is (t, h, c, k, w0, w0', w0'', w, w', w'', drift) of one
@@ -475,10 +483,11 @@ def _emit(steps: list, accel, jerk) -> tuple[np.ndarray, ...]:
     w = np.einsum("nd,ds->ns", ends, _HERMITE_W)
     v = np.einsum("nd,ds->ns", ends, _HERMITE_V) / h
     a, q = accel(w)
-    # the loop's projection onto I = w'^2 - 4 Q(w) = 0
+    # the loop's projection onto I = w'^2 - 4 Q(w) = 0, skipped where it exceeds the tolerance
     res = v * v - 4.0 * q
     gg = np.abs(a) ** 2 + np.abs(v) ** 2
     f = np.divide(0.5 * res, gg, out=np.zeros_like(res), where=gg > 0.0)
+    f[(np.abs(f * a) > atol + rtol * np.abs(w)) | (np.abs(f * v) > atol + rtol * np.abs(v))] = 0.0
     w = w + f * a.conj()
     v = v - f * v.conj()
     aw = np.abs(w)
@@ -507,6 +516,7 @@ def integrate(
     if not (math.isfinite(e0.real) and math.isfinite(e0.imag)):
         raise DomainError(f"initial energy is not finite: {e0!r}")
 
+    q = chart_coefficients(params, e0)
     accel = chart_flow(params, e0)
     jerk = chart_jerk(params, e0)
     e_scale = max(1.0, abs(e0))
@@ -528,7 +538,7 @@ def integrate(
         """Emit ``steps``; True if the watch finds the return, where the samples then end."""
         if not steps:
             return False
-        block = _emit(steps, accel, jerk)
+        block = _emit(steps, accel, jerk, atol, rtol)
         steps.clear()
         hit = None if watch is None else watch.feed(*block[:3])
         chunks.append(block if hit is None else tuple(x[: hit[0] + 1] for x in block))
@@ -556,7 +566,7 @@ def integrate(
         if last_step:
             h = t_max - t
 
-        wn, vn, an, qn, err = chart_step(accel, w, v, a, h, atol, rtol)
+        wn, vn, an, qn, err = chart_step(q, w, v, a, h, atol, rtol)
         awn, avn = abs(wn), abs(vn)
         if not (0.0 < awn < inf and avn < inf):
             raise NonFiniteStateError(f"state leaves the chart at t={t!r}: w={wn!r}, w'={vn!r}")
@@ -576,6 +586,8 @@ def integrate(
         res = vn * vn - 4.0 * qn
         gg = abs(an) ** 2 + avn * avn
         f = 0.5 * res / gg if gg else 0.0
+        if abs(f * an) > atol + rtol * awn or abs(f) * avn > atol + rtol * avn:
+            f = 0.0  # at an equilibrium (see the module docstring)
         wn = wn + f * an.conjugate()
         vn = vn - f * vn.conjugate()
         drift = abs(res) / (16.0 * awn * awn * e_scale)

@@ -40,6 +40,7 @@ from ptwells import (
 from ptwells import analysis
 from ptwells.analysis import BOUNDARY_WIDTH, PROBE_CONFIG
 from ptwells.integrator import ReturnWatch
+from ptwells.wells import lattice_y_array, well_x
 
 P = SystemParams(0.1, 3)
 
@@ -216,6 +217,18 @@ class TestWellPair:
         assert [w for w, _, _ in episodes] == wells
         assert all(d == 0.0 for _, _, d in episodes)
 
+    @pytest.mark.parametrize("fixture", ["fig_closed", "fig_tunneling"])
+    def test_episodes_equal_the_per_sample_loop(self, fixture, request):
+        traj = request.getfixturevalue(fixture)
+        assert anchor_episodes(traj) == _anchor_episodes_loop(traj)
+        # runs at both ends of the samples, and runs of one sample
+        n = len(traj)
+        for idx in ([0, 1, 2], [n - 3, n - 2, n - 1], [0, n // 2, n - 1]):
+            z = traj.z.copy()
+            z[idx] = [well_center(WellIndex(Side.LEFT, k), P) for k in range(len(idx))]
+            cut = replace(traj, z=z)
+            assert anchor_episodes(cut) == _anchor_episodes_loop(cut)
+
     def test_episode_sequence_alternates_sides(self, fig_tunneling):
         episodes = anchor_episodes(fig_tunneling)
         assert len(episodes) >= 4
@@ -224,6 +237,37 @@ class TestWellPair:
         # all complete visits spiral deep into their well's core
         for _, _, d in episodes[:-1]:
             assert d < 0.2
+
+
+def _anchor_episodes_loop(traj):
+    """anchor_episodes as a per-sample while loop over the runs, the reference."""
+    x, y = traj.z.real, traj.z.imag
+    xw = well_x(traj.params)
+    n_r = np.round(y / math.pi - 0.25)
+    n_l = np.round(y / math.pi + 0.25)
+    d_r = np.hypot(x - xw, y - lattice_y_array(Side.RIGHT, n_r))
+    d_l = np.hypot(x + xw, y - lattice_y_array(Side.LEFT, n_l))
+    right_closer = d_r <= d_l
+    d = np.where(right_closer, d_r, d_l)
+    episodes = []
+    inside = d < analysis.ANCHOR_RADIUS
+    i = 0
+    while i < len(d):
+        if not inside[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < len(d) and inside[j + 1]:
+            j += 1
+        k = i + int(np.argmin(d[i : j + 1]))
+        well = WellIndex(Side.RIGHT, int(n_r[k])) if right_closer[k] else WellIndex(Side.LEFT, int(n_l[k]))
+        if episodes and episodes[-1][0] == well:
+            if d[k] < episodes[-1][2]:
+                episodes[-1] = (well, k, float(d[k]))
+        else:
+            episodes.append((well, k, float(d[k])))
+        i = j + 1
+    return episodes
 
 
 def _probe_start(offset: float) -> tuple[complex, complex]:

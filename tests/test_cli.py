@@ -14,6 +14,7 @@ from ptwells.cli import (
     EXIT_USAGE,
     cmd_sweep_e2,
     default_t_max,
+    fmt,
     main,
     parse_complex,
     run_preset,
@@ -176,6 +177,22 @@ class TestSimulateCommand:
         assert main([*args, "--t-max", "7"]) == EXIT_OK
         preset = run_preset(parse_complex(energy))
         assert seen == [preset, replace(preset, t_max=7.0)]
+
+
+class TestTrajectoryCsv:
+    @pytest.mark.parametrize("fixture", ["fig_closed", "fig_tunneling"])
+    def test_bytes_equal_the_per_cell_loop(self, fixture, request, tmp_path):
+        traj = request.getfixturevalue(fixture)
+        # the reference: one fmt call per cell, on numpy scalars
+        err1, err2 = traj.energy_component_errors()
+        ref = ["t,re_z,im_z,re_p,im_p,e1_err,e2_err\n"]
+        for i in range(len(traj)):
+            ref.append(
+                f"{fmt(traj.t[i])},{fmt(traj.z[i].real)},{fmt(traj.z[i].imag)},"
+                f"{fmt(traj.p[i].real)},{fmt(traj.p[i].imag)},{fmt(err1[i])},{fmt(err2[i])}\n"
+            )
+        cli.write_trajectory_csv(traj, str(tmp_path / "traj.csv"))
+        assert (tmp_path / "traj.csv").read_bytes() == "".join(ref).encode()
 
 
 class TestSweepCommand:

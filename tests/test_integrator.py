@@ -26,7 +26,7 @@ from ptwells import (
 )
 from ptwells import integrator
 from ptwells.cli import run_preset
-from ptwells.dynamics import chart_flow
+from ptwells.dynamics import chart_coefficients, chart_flow
 from ptwells.integrator import SAMPLES_PER_STEP, chart_step
 
 P = SystemParams(0.1, 3)
@@ -164,23 +164,56 @@ class TestIntegrate:
         assert traj.termination is Termination.ESCAPED
 
     def test_discarded_step_that_leaves_the_cell_ends_escaped(self):
-        # 0.53 above left well 0 on the bounded preset: step 32 both exceeds
-        # the drift limit (1.8e-8) and leaves the cell.  The escape test comes
-        # first, so this valid open start ends escaped, not drift_exceeded
+        # a step that both exceeds the drift limit and leaves the cell is discarded,
+        # and the escape test comes first, so the run ends escaped, not drift_exceeded.
+        # 0.58 above left well 0 on the bounded preset, the step that leaves the cell
+        # (23) has 6.6x the largest drift of the steps before it (6.6-7.0x above each
+        # left well -3..3), so a limit just below its drift discards it alone
         c = well_center(WellIndex(Side.LEFT, 0), P)
-        z0 = complex(c.real, c.imag + 0.53)
+        z0 = complex(c.real, c.imag + 0.58)
         p0 = initial_momentum(z0, 0.8 + 0j, MomentumBranch.PRINCIPAL, P)
-        cfg = run_preset(0.8 + 0j)
+        lifted = integrate(z0, p0, replace(run_preset(0.8 + 0j), energy_drift_limit=1.0), P)  # the same steps
+        assert lifted.termination is Termination.ESCAPED
+        n = lifted.n_accepted
+        step_drift = lifted.drift[SAMPLES_PER_STEP::SAMPLES_PER_STEP]  # one per step
+        cfg = replace(lifted.config, energy_drift_limit=0.9 * step_drift[-1])
+        assert step_drift[:-1].max() < cfg.energy_drift_limit
         traj = integrate(z0, p0, cfg, P)
         assert traj.termination is Termination.ESCAPED
-        assert traj.n_accepted == 32 and len(traj) == SAMPLES_PER_STEP * 31 + 1  # the start and 31 kept steps
+        assert traj.n_accepted == n and len(traj) == SAMPLES_PER_STEP * (n - 1) + 1  # the start and n - 1 kept steps
         assert abs(traj.z[-1].imag - z0.imag) < cfg.escape_y_span  # the last kept sample is inside the cell
         assert traj.max_drift <= cfg.energy_drift_limit
         assert classify_orbit(traj).kind is OrbitKind.OPEN_ESCAPE
         # without the cell exit, the same step ends the run by drift
         unbounded = integrate(z0, p0, replace(cfg, escape_y_span=math.inf), P)
         assert unbounded.termination is Termination.DRIFT_EXCEEDED
-        assert unbounded.n_accepted == 32 and np.array_equal(unbounded.t, traj.t)
+        assert unbounded.n_accepted == n and np.array_equal(unbounded.t, traj.t)
+
+    def test_kernel_is_called_only_where_the_loop_enters_a_chart(self, monkeypatch):
+        # the stages and the new point evaluate w'' inline from Q's coefficients:
+        # the scalar kernel runs once at the start and once per chart change
+        calls = []
+
+        def counting_chart_flow(params, energy):
+            kernel = chart_flow(params, energy)
+
+            def counted(w):
+                if not isinstance(w, np.ndarray):  # the emission's array calls are not counted
+                    calls.append(w)
+                return kernel(w)
+
+            return counted
+
+        monkeypatch.setattr(integrator, "chart_flow", counting_chart_flow)
+        p0 = initial_momentum(0j, 1 + 1j, MomentumBranch.PRINCIPAL, P)
+        traj = integrate(0j, p0, IntegratorConfig(t_max=80.0), P)
+        assert traj.termination is Termination.TIME_LIMIT
+        # the side of Re z = 0 at the start and at each step end but the last, which
+        # ends the run without a chart change
+        right = traj.z.real[:-1:SAMPLES_PER_STEP] > 0.0
+        changes = int(np.count_nonzero(np.diff(right)))
+        assert changes >= 4
+        assert len(calls) == 1 + changes
 
     def test_step_limit(self):
         traj = integrate(0j, 1 + 1j, IntegratorConfig(t_max=100.0, max_steps=10), P)
@@ -262,11 +295,12 @@ class TestChartStep:
             return (wn, vn, an, qn), norm(lambda terms: abs(sum(terms))), norm(lambda terms: sum(map(abs, terms)))
 
         for _ in range(50):
-            accel = chart_flow(P, complex(1.0, rng.uniform(0.0, 7.0)))
+            energy = complex(1.0, rng.uniform(0.0, 7.0))
+            accel = chart_flow(P, energy)
             w = complex(*rng.uniform(-1, 1, 2))
             v = complex(*rng.uniform(-5, 5, 2))
             h = rng.uniform(1e-3, 0.1)
-            *state, err = chart_step(accel, w, v, accel(w)[0], h, 1e-12, 1e-10)
+            *state, err = chart_step(chart_coefficients(P, energy), w, v, accel(w)[0], h, 1e-12, 1e-10)
             ref, ref_err, ref_scale = first_order(accel, w, v, h, 1e-12, 1e-10)
             for got, want in zip(state, ref):
                 assert abs(got - want) <= 1e-14 * abs(want)
