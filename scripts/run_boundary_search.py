@@ -15,7 +15,6 @@ number of probes and of accepted integration steps.
 import argparse
 
 from ptwells import Side, SystemParams, WellIndex, analysis, closed_orbit_boundary, separatrix_offset
-from ptwells.analysis import BOUNDARY_WIDTH
 
 
 def main() -> None:
@@ -23,7 +22,6 @@ def main() -> None:
     ap.add_argument("--zeta", type=float, default=0.1)
     ap.add_argument("--M", type=int, default=3)
     ap.add_argument("--e", type=float, default=0.8)
-    ap.add_argument("--width", type=float, default=BOUNDARY_WIDTH)
     args = ap.parse_args()
 
     params = SystemParams(args.zeta, args.M)
@@ -44,10 +42,7 @@ def main() -> None:
     for n in range(-3, 4):
         for direction in (+1, -1):
             n_before = len(steps)
-            res = closed_orbit_boundary(
-                WellIndex(Side.LEFT, n), args.e, params,
-                direction=direction, width_tol=args.width,
-            )
+            res = closed_orbit_boundary(WellIndex(Side.LEFT, n), args.e, params, direction=direction)
             offsets.append(res.offset)
             print(
                 f"left n={n:+d} direction={direction:+d}: critical offset {res.offset:.6f} "

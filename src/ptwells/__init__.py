@@ -26,9 +26,7 @@ from .analysis import (
 )
 from .dynamics import (
     PARITY_POINT,
-    EnergyComponents,
     SystemParams,
-    energy_components,
     hamiltonian,
     potential,
     potential_gradient,

@@ -36,7 +36,7 @@ from .integrator import (
     initial_momentum,
     integrate,
 )
-from .wells import Side, WellIndex, lattice_y_array, nearest_well, well_center, well_x
+from .wells import Side, WellIndex, nearest_well, nearest_wells, well_center, well_x
 
 __all__ = [
     "CrossingDirection",
@@ -59,7 +59,7 @@ __all__ = [
     "self_intersections",
 ]
 
-# Default spread of the two boundary probes about the separatrix.
+# Spread of the two boundary probes about the separatrix.
 BOUNDARY_WIDTH = 1e-4
 
 # separatrix_offset's DOP853 tolerances (~1e-14 off a 30-digit leaf) and step budget
@@ -250,22 +250,13 @@ def anchor_episodes(traj: Trajectory) -> list[tuple[WellIndex, int, float]]:
     reads off which wells the orbit actually visits, robustly even when
     spiral loops wrap across the imaginary axis.
     """
-    x = traj.z.real
-    y = traj.z.imag
-    xw = well_x(traj.params)
-    n_r = np.round(y / math.pi - 0.25)
-    n_l = np.round(y / math.pi + 0.25)
-    d_r = np.hypot(x - xw, y - lattice_y_array(Side.RIGHT, n_r))
-    d_l = np.hypot(x + xw, y - lattice_y_array(Side.LEFT, n_l))
-    right_closer = d_r <= d_l
-    d = np.where(right_closer, d_r, d_l)
-
+    right, n, d = nearest_wells(traj.z, traj.params)
     episodes: list[tuple[WellIndex, int, float]] = []
     # the runs [i, j) of samples inside, from the edges of the inside mask padded with False
     edges = np.flatnonzero(np.diff(np.concatenate(([False], d < ANCHOR_RADIUS, [False]))))
     for i, j in zip(edges[::2].tolist(), edges[1::2].tolist()):
         k = i + int(np.argmin(d[i:j]))
-        well = WellIndex(Side.RIGHT, int(n_r[k])) if right_closer[k] else WellIndex(Side.LEFT, int(n_l[k]))
+        well = WellIndex(Side.RIGHT if right[k] else Side.LEFT, int(n[k]))
         if not episodes or episodes[-1][0] != well:
             episodes.append((well, k, float(d[k])))
         elif d[k] < episodes[-1][2]:
@@ -375,13 +366,13 @@ class BoundaryResult:
 def separatrix_offset(params: SystemParams, energy_real: float) -> float:
     """The closed-orbit boundary: the start offset of the separatrix, the leaf
     from s = 0 (Re z = -inf) with s' = +2 zeta in the chart s = e^{2z}, at its
-    first crossing of |s| = r_w = e^{-asinh(M/zeta)} (Re z = x_w).  Every left
-    well maps to s = -i r_w, and s -> -conj(s) maps the leaf onto the one with
-    s' = -2 zeta, so the offset (arg s + pi/2)/2 holds for every well and both
-    directions.
+    first crossing of |s| = r_w = e^{-2 x_w} (Re z = -x_w, with x_w of
+    :func:`well_x`).  Every left well maps to s = -i r_w, and s -> -conj(s) maps
+    the leaf onto the one with s' = -2 zeta, so the offset (arg s + pi/2)/2 holds
+    for every well and both directions.
     """
     q = chart_coefficients(params, complex(energy_real))
-    r_w = math.exp(-math.asinh(params.m_int / params.zeta))
+    r_w = math.exp(-2.0 * well_x(params))
     w, v = 0j, complex(2.0 * params.zeta)
     a = chart_flow(params, complex(energy_real))(w)[0]
     h = 1e-3
@@ -405,17 +396,13 @@ def separatrix_offset(params: SystemParams, energy_real: float) -> float:
 
 
 def closed_orbit_boundary(
-    idx: WellIndex,
-    energy_real: float,
-    params: SystemParams,
-    direction: int = 1,
-    width_tol: float = BOUNDARY_WIDTH,
+    idx: WellIndex, energy_real: float, params: SystemParams, direction: int = 1
 ) -> BoundaryResult:
     """The critical y-offset from a well center at real energy,
     :func:`separatrix_offset`, confirmed by two probes.
 
-    The probes start at the well's x, width_tol/2 below and above the
-    separatrix in Im z (signed by ``direction``), and each integrates with
+    The probes start at the well's x, ``BOUNDARY_WIDTH``/2 = 5e-5 below and above
+    the separatrix in Im z (signed by ``direction``), and each integrates with
     ``PROBE_CONFIG`` as it stands at the call.  The lower must end
     closed, by its first return (``RETURNED``) or at t_max in its cell; the
     upper open, leaving its cell (``ESCAPED``: Im z moves pi/2, on its first
@@ -424,11 +411,9 @@ def closed_orbit_boundary(
     """
     if direction not in (-1, 1):
         raise DomainError(f"direction must be +1 or -1, got {direction!r}")
-    if not (math.isfinite(width_tol) and width_tol > 0):
-        raise DomainError(f"width_tol must be finite and > 0, got {width_tol!r}")
     sep = separatrix_offset(params, energy_real)
     center = well_center(idx, params)
-    lo, hi = sep - 0.5 * width_tol, sep + 0.5 * width_tol
+    lo, hi = sep - 0.5 * BOUNDARY_WIDTH, sep + 0.5 * BOUNDARY_WIDTH
     ends: list[Termination] = []
     drifts: list[tuple[float, float]] = []
     for offset in (lo, hi):

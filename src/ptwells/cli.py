@@ -30,7 +30,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .analysis import (
-    BOUNDARY_WIDTH,
     CELL_EXIT_SPAN,
     OrbitClass,
     OrbitKind,
@@ -185,13 +184,12 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
             fh.writelines(f"{t!r},{x!r},{y!r},{u!r},{v!r},{e!r},{f!r}\n" for t, x, y, u, v, e, f in rows)
 
 
-def write_events_jsonl(traj: Trajectory, oc: OrbitClass | None, path: str) -> None:
+def write_events_jsonl(traj: Trajectory, oc: OrbitClass, path: str) -> None:
     with open(path, "w") as fh:
         for ev in detect_axis_crossings(traj):
             crossing = {"type": "crossing", "t": ev.t_cross, "y": ev.y_at_cross, "dir": ev.direction.value}
             fh.write(json.dumps(crossing) + "\n")
-        if oc is not None:
-            fh.write(json.dumps({"type": "classification", **_classification_payload(oc)}) + "\n")
+        fh.write(json.dumps({"type": "classification", **_classification_payload(oc)}) + "\n")
 
 
 def run_simulation(config: RunConfig) -> dict:
@@ -442,9 +440,6 @@ def main(argv: list[str] | None = None) -> int:
     p_thr.add_argument("--side", choices=[s.value for s in Side], default="left")
     p_thr.add_argument("--n", type=int, default=0)
     p_thr.add_argument("--direction", type=int, choices=[1, -1], default=1)
-    p_thr.add_argument(
-        "--width", type=float, default=BOUNDARY_WIDTH, help="probe spread about the separatrix (default %(default)s)"
-    )
 
     p_wells = sub.add_parser("wells", help="well lattice table as CSV")
     p_wells.add_argument("--zeta", type=float, required=True)
@@ -520,11 +515,7 @@ def _dispatch(args) -> int:
     if args.command == "threshold":
         _require(args, "e")
         res = closed_orbit_boundary(
-            WellIndex(Side(args.side), args.n),
-            args.e,
-            SystemParams(args.zeta, args.m),
-            direction=args.direction,
-            width_tol=args.width,
+            WellIndex(Side(args.side), args.n), args.e, SystemParams(args.zeta, args.m), direction=args.direction
         )
         result = {
             "side": args.side,

@@ -1,4 +1,4 @@
-"""Complexified cosh-well potential, its gradient, and the energy split.
+"""Complexified cosh-well potential, its gradient, and the chart flow.
 
 Everything here is a pure function of a phase-space point and the two
 physical parameters (zeta, M).  Units are fixed so that 2m = hbar = 1,
@@ -18,7 +18,6 @@ from .errors import DomainError, NonFiniteStateError
 
 __all__ = [
     "SystemParams",
-    "EnergyComponents",
     "flow",
     "chart_coefficients",
     "chart_flow",
@@ -27,7 +26,6 @@ __all__ = [
     "potential_array",
     "potential_gradient",
     "hamiltonian",
-    "energy_components",
     "real_axis_hermitian_potential",
     "PARITY_POINT",
 ]
@@ -49,14 +47,6 @@ class SystemParams:
             raise DomainError(f"m_int must be a positive integer, got {self.m_int!r}")
         if not (math.isfinite(self.zeta) and self.zeta > 0):
             raise DomainError(f"zeta must be finite and > 0, got {self.zeta!r}")
-
-
-@dataclass(frozen=True)
-class EnergyComponents:
-    """Real and imaginary parts of the conserved complex energy."""
-
-    e1: float
-    e2: float
 
 
 def _require_finite(value: complex, name: str) -> None:
@@ -170,22 +160,6 @@ def hamiltonian(z: complex, p: complex, params: SystemParams) -> complex:
     _require_finite(z, "z")
     _require_finite(p, "p")
     return p * p + potential(z, params)
-
-
-def energy_components(z: complex, p: complex, params: SystemParams) -> EnergyComponents:
-    """E1 = p1^2 - p2^2 + V1 and E2 = 2 p1 p2 + V2.
-
-    Algebraically identical to the real/imaginary parts of
-    :func:`hamiltonian`; computed from the component formulas so tests can
-    compare the two code paths.
-    """
-    v = potential(z, params)
-    p1 = p.real
-    p2 = p.imag
-    return EnergyComponents(
-        e1=p1 * p1 - p2 * p2 + v.real,
-        e2=2.0 * p1 * p2 + v.imag,
-    )
 
 
 def real_axis_hermitian_potential(x: float, params: SystemParams) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 from .dynamics import SystemParams
 from .errors import DomainError
 
-__all__ = ["Side", "WellIndex", "well_x", "lattice_y", "lattice_y_array", "well_center", "nearest_well"]
+__all__ = ["Side", "WellIndex", "well_x", "lattice_y", "lattice_y_array", "well_center", "nearest_wells", "nearest_well"]
 
 # pi to 50 decimals as the integer ratio _PI_DIGITS / 10**50
 _PI_DIGITS = 314159265358979323846264338327950288419716939937510
@@ -55,7 +55,8 @@ def _quarter_pi(k: int) -> float:
 
     Integer true division rounds correctly, and 50 digits of pi keep the
     exact quotient far from a rounding midpoint for any practical k.
-    Cached: ``nearest_well`` asks for the same few rows again and again.
+    Cached: ``lattice_y_array`` rebuilds its table of the same few rows on
+    every call, and ``nearest_well`` makes one call per point.
     """
     return (k * _PI_DIGITS) / (4 * _PI_SCALE)
 
@@ -81,25 +82,35 @@ def well_center(idx: WellIndex, params: SystemParams) -> complex:
     return complex(xw if idx.side is Side.RIGHT else -xw, lattice_y(idx.side, idx.n))
 
 
-def nearest_well(z: complex, params: SystemParams) -> tuple[WellIndex, float]:
-    """Lattice index minimizing Euclidean distance to z, plus that distance.
+def nearest_wells(z: np.ndarray, params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The well nearest to each point of ``z``, as arrays (right, n, d): whether it is
+    on the right, its row n, and the Euclidean distance.
 
-    Ties are broken toward smaller |n|, then right over left, so points on
-    the imaginary axis report deterministically.
+    On each side the wells at fixed x lie pi apart in y, so the nearest one is in
+    the row rounded from y; ``right`` says which side's is nearer.  A non-finite
+    point raises DomainError: its row would make ``lattice_y_array``'s table span
+    the whole int64 range.
     """
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"z must be finite, got {z!r}")
+    finite = np.isfinite(z)
+    if not finite.all():
+        raise DomainError(f"z must be finite, got {complex(z[~finite][0])!r}")
+    x, y = z.real, z.imag
     xw = well_x(params)
-    y = z.imag
+    n_r = np.round(y / math.pi - 0.25)
+    n_l = np.round(y / math.pi + 0.25)
+    d_r = np.hypot(x - xw, y - lattice_y_array(Side.RIGHT, n_r))
+    d_l = np.hypot(x + xw, y - lattice_y_array(Side.LEFT, n_l))
+    right = d_r <= d_l
+    return right, np.where(right, n_r, n_l).astype(np.int64), np.where(right, d_r, d_l)
 
-    candidates: list[tuple[float, int, int, WellIndex]] = []
-    for side, x_c, sign in ((Side.RIGHT, xw, 1), (Side.LEFT, -xw, -1)):
-        # y_n = (4n + sign) pi/4; nearest integer plus neighbors for safety
-        n0 = round(y / math.pi - 0.25 * sign)
-        for n in (n0 - 1, n0, n0 + 1):
-            d = math.hypot(z.real - x_c, y - _quarter_pi(4 * n + sign))
-            rank = 0 if side is Side.RIGHT else 1
-            candidates.append((d, abs(n), rank, WellIndex(side, n)))
 
-    d, _, _, idx = min(candidates, key=lambda c: (c[0], c[1], c[2]))
-    return idx, d
+def nearest_well(z: complex, params: SystemParams) -> tuple[WellIndex, float]:
+    """Lattice index minimizing Euclidean distance to z, plus that distance:
+    :func:`nearest_wells` at one point.
+
+    At an exact tie between the sides the right well wins, so points on the
+    imaginary axis report deterministically; between two rows of one side
+    ``np.round`` takes the even row.
+    """
+    right, n, d = nearest_wells(np.array([z]), params)
+    return WellIndex(Side.RIGHT if right[0] else Side.LEFT, int(n[0])), float(d[0])

@@ -365,13 +365,6 @@ class TestBoundary:
         with pytest.raises(DomainError):
             closed_orbit_boundary(WellIndex(Side.LEFT, 0), 0.8, P, direction=2)
 
-    @pytest.mark.parametrize("width", [0.0, -1.0, math.nan, math.inf])
-    def test_width_validation(self, width, monkeypatch):
-        calls = _count_integrations(monkeypatch)
-        with pytest.raises(DomainError, match="width_tol"):
-            closed_orbit_boundary(WellIndex(Side.LEFT, 0), 0.8, P, width_tol=width)
-        assert calls == []
-
     def test_probe_ending_by_drift_raises_at_once(self, monkeypatch):
         calls = _count_integrations(monkeypatch)
         monkeypatch.setattr(analysis, "PROBE_CONFIG", replace(PROBE_CONFIG, energy_drift_limit=1e-13))

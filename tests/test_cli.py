@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from ptwells import DomainError, Side, SystemParams, WellIndex, analysis, cli, well_center
-from ptwells.analysis import PROBE_CONFIG
+from ptwells.analysis import BOUNDARY_WIDTH, PROBE_CONFIG
 from ptwells.cli import (
     EXIT_AMBIGUOUS,
     EXIT_NUMERICAL,
@@ -287,6 +287,7 @@ class TestIntegratorConfigKeys:
         "args",
         [
             ["threshold", "--e", "0.8", "--rel-tol", "1e-12"],
+            ["threshold", "--e", "0.8", "--width", "0.1"],
             ["simulate", "--e", "0.8", "--dt-init", "1e-3"],
             ["sweep-e2", "--e2", "1.0", "--dt-init", "1e-3"],
             *[
@@ -297,6 +298,7 @@ class TestIntegratorConfigKeys:
         ],
         ids=[
             "threshold-rel-tol",
+            "threshold-width",
             "simulate-dt-init",
             "sweep-e2-dt-init",
             *[f"{command}-{flag[2:]}" for command in ("simulate", "sweep-e2") for flag in REMOVED_FLAGS],
@@ -310,12 +312,19 @@ class TestIntegratorConfigKeys:
         assert exc_info.value.code == EXIT_USAGE
         assert f"unrecognized arguments: {' '.join(args[-2:])}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", [flag[2:].replace("-", "_") for flag in REMOVED_FLAGS])
-    @pytest.mark.parametrize("command", ["simulate", "sweep-e2"])
+    @pytest.mark.parametrize(
+        "command,key",
+        [
+            *[(command, flag[2:].replace("-", "_")) for flag in REMOVED_FLAGS for command in ("simulate", "sweep-e2")],
+            ("threshold", "width"),
+        ],
+        ids=lambda v: v,
+    )
     def test_removed_key_is_unknown(self, command, key, tmp_path, monkeypatch, capsys):
         # a removed flag's key is unknown, whatever its value
         monkeypatch.setattr(cli, "run_simulation", _never)
-        energy = {"simulate": {"e": "0.8"}, "sweep-e2": {"e2": "1.0"}}[command]
+        monkeypatch.setattr(analysis, "integrate", _never)
+        energy = {"simulate": {"e": "0.8"}, "sweep-e2": {"e2": "1.0"}, "threshold": {"e": 0.8}}[command]
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"zeta": 0.1, "m": 3, **energy, key: "x"}))
         assert main([command, "--config", str(cfg_path)]) == EXIT_USAGE
@@ -396,7 +405,6 @@ class TestConfigFile:
             ("threshold", "side", "up"),
             ("threshold", "n", 0.5),
             ("threshold", "direction", 2),
-            ("threshold", "width", "wide"),
         ],
     )
     def test_every_value_is_checked_as_its_flag(self, command, key, value, tmp_path, monkeypatch, capsys):
@@ -463,14 +471,12 @@ class TestThresholdCommand:
         assert "bracket failure" in err and "probes do not confirm the separatrix" in err
 
     def test_coarse_search_reports_bracket(self, capsys):
-        args = [
-            "threshold", "--zeta", "0.1", "--M", "3", "--e", "0.8",
-            "--side", "left", "--n", "0", "--width", "0.1",
-        ]
+        args = ["threshold", "--zeta", "0.1", "--M", "3", "--e", "0.8", "--side", "left", "--n", "0"]
         assert main(args) == EXIT_OK
         out = json.loads(capsys.readouterr().out)
-        assert out["closed_offset"] < out["critical_offset"] < out["open_offset"]
-        assert 0.45 <= out["critical_offset"] <= 0.6
+        sep = out["critical_offset"]
+        assert (out["closed_offset"], out["open_offset"]) == (sep - 0.5 * BOUNDARY_WIDTH, sep + 0.5 * BOUNDARY_WIDTH)
+        assert 0.45 <= sep <= 0.6
         assert out["n_probes"] == 2
 
     @pytest.mark.parametrize(
@@ -485,17 +491,6 @@ class TestThresholdCommand:
         monkeypatch.setattr(cli, "cmd_sweep_e2", never)
         assert main([command, "--zeta", "0.1", "--M", "3", *flags]) == EXIT_USAGE
         assert "config error" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("width", ["0", "-1"])
-    def test_bad_width_is_a_config_error(self, width, monkeypatch, capsys):
-        def never(*args, **kwargs):
-            pytest.fail("a probe ran despite a bad width")
-
-        monkeypatch.setattr(analysis, "integrate", never)
-        args = ["threshold", "--zeta", "0.1", "--M", "3", "--e", "0.8", "--width", width]
-        assert main(args) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "config error" in err and f"width_tol must be finite and > 0, got {float(width)!r}" in err
 
 
 class TestEntryPoint:

@@ -9,7 +9,6 @@ from ptwells import (
     PARITY_POINT,
     DomainError,
     SystemParams,
-    energy_components,
     hamiltonian,
     potential,
     potential_gradient,
@@ -23,11 +22,6 @@ box_z = st.builds(
     complex,
     st.floats(-4.0, 4.0, allow_nan=False),
     st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False),
-)
-box_p = st.builds(
-    complex,
-    st.floats(-6.0, 6.0, allow_nan=False),
-    st.floats(-6.0, 6.0, allow_nan=False),
 )
 
 
@@ -113,26 +107,18 @@ class TestHamiltonian:
         p = cmath.sqrt((1 + 1j) - potential(0j, P))
         assert hamiltonian(0j, p, P) == pytest.approx(1 + 1j, abs=1e-12)
 
-    @given(box_z, box_p)
-    @settings(max_examples=200)
-    def test_component_split_matches(self, z, p):
-        h = hamiltonian(z, p, P)
-        ec = energy_components(z, p, P)
-        scale = max(1.0, abs(h))
-        assert abs(ec.e1 - h.real) <= 1e-15 * scale
-        assert abs(ec.e2 - h.imag) <= 1e-15 * scale
-
     def test_real_inputs_give_zero_e2_kinetic(self):
-        ec = energy_components(0.3 + 0j, 2.0 + 0j, SystemParams(0.1, 1))
+        # real p adds nothing to Im H: E2 is the potential's alone
+        h = hamiltonian(0.3 + 0j, 2.0 + 0j, SystemParams(0.1, 1))
         v = potential(0.3 + 0j, SystemParams(0.1, 1))
-        assert ec.e2 == pytest.approx(v.imag, abs=1e-14)
+        assert h.imag == pytest.approx(v.imag, abs=1e-14)
 
     def test_pure_imaginary_momentum(self):
         # p = i, V = 0 at a stationary point: E = -1
         z = 0.5 * cmath.acosh(1j * P.m_int / P.zeta)
-        ec = energy_components(z, 1j, P)
-        assert ec.e1 == pytest.approx(-1.0, abs=1e-10)
-        assert ec.e2 == pytest.approx(0.0, abs=1e-10)
+        h = hamiltonian(z, 1j, P)
+        assert h.real == pytest.approx(-1.0, abs=1e-10)
+        assert h.imag == pytest.approx(0.0, abs=1e-10)
 
 
 class TestChartFlow:

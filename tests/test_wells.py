@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptwells import (
+    DomainError,
     Side,
     SystemParams,
     WellIndex,
@@ -14,6 +16,7 @@ from ptwells import (
     well_center,
     well_x,
 )
+from ptwells.wells import nearest_wells
 
 P = SystemParams(0.1, 3)
 
@@ -114,3 +117,22 @@ class TestNearestWell:
         )
         assert d == pytest.approx(best, rel=1e-12, abs=1e-12)
         assert abs(z - well_center(got, params)) == pytest.approx(best, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(1.0, math.inf)])
+    def test_non_finite_point_raises(self, z):
+        with pytest.raises(DomainError, match="z must be finite"):
+            nearest_well(z, P)
+        with pytest.raises(DomainError, match="z must be finite"):
+            nearest_wells(np.array([z]), P)
+
+    @pytest.mark.parametrize("zm", [(0.1, 3), (1.0, 5), (0.5, 2)])
+    def test_array_matches_brute_force(self, zm, rng):
+        # the whole array at once, each point against the minimum over the lattice
+        params = SystemParams(*zm)
+        z = rng.uniform(-5, 5, 5000) + 1j * rng.uniform(-40, 40, 5000)
+        right, n, d = nearest_wells(z, params)
+        centers = np.array([well_center(WellIndex(side, k), params) for side in Side for k in range(-60, 61)])
+        best = np.abs(z[:, None] - centers[None, :]).min(axis=1)
+        got = np.array([well_center(WellIndex(Side.RIGHT if r else Side.LEFT, int(k)), params) for r, k in zip(right, n)])
+        np.testing.assert_allclose(d, best, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(np.abs(z - got), best, rtol=1e-12, atol=1e-12)
