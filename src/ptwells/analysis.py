@@ -32,9 +32,11 @@ from .integrator import (
     ReturnWatch,
     Termination,
     Trajectory,
+    chart_invariants,
     chart_step,
     initial_momentum,
     integrate,
+    step_constants,
 )
 from .wells import Side, WellIndex, nearest_well, nearest_wells, well_center, well_x
 
@@ -62,8 +64,8 @@ __all__ = [
 # Spread of the two boundary probes about the separatrix.
 BOUNDARY_WIDTH = 1e-4
 
-# separatrix_offset's DOP853 tolerances (~1e-14 off a 30-digit leaf) and step budget
-_LEAF_RTOL, _LEAF_ATOL, _LEAF_MAX_STEPS = 1e-13, 1e-15, 10_000
+# separatrix_offset's most Newton iterations
+_LEAF_NEWTON = 16
 
 # The exit from a start's lattice cell: |Im z - Im z0| beyond half the lattice
 # period.  A closed orbit at real energy stays within 1.31 of its start's Im z.
@@ -218,9 +220,11 @@ def dwell_segments(traj: Trajectory, crossings: Sequence[CrossingEvent] | None =
     return segs
 
 
-def measure_tunneling(traj: Trajectory) -> TunnelingStats:
-    """Per-side mean dwell times and their average, the tunneling time."""
-    crossings = detect_axis_crossings(traj)
+def measure_tunneling(traj: Trajectory, crossings: Sequence[CrossingEvent] | None = None) -> TunnelingStats:
+    """Per-side mean dwell times and their average, the tunneling time, from the
+    trajectory's axis crossings (found here unless given)."""
+    if crossings is None:
+        crossings = detect_axis_crossings(traj)
     if len(crossings) < 3:
         raise InsufficientCrossingsError(
             f"need >= 3 axis crossings for dwell statistics, got {len(crossings)}"
@@ -321,7 +325,7 @@ def _recurrence(traj: Trajectory) -> float | None:
     return None if watch.left else 0.0
 
 
-def classify_orbit(traj: Trajectory) -> OrbitClass:
+def classify_orbit(traj: Trajectory, crossings: Sequence[CrossingEvent] | None = None) -> OrbitClass:
     """Closed, open-escape, or tunneling; anything else raises.
 
     Closed: the phase point returns within ``ReturnWatch.TOL`` of its
@@ -329,9 +333,11 @@ def classify_orbit(traj: Trajectory) -> OrbitClass:
     on a run that did not escape.  Open escape: the run escaped with at
     most one crossing.  Tunneling: at least three alternating crossings on
     a run that did not escape; drift- or step-terminated runs classify on
-    their retained (certified) samples.
+    their retained (certified) samples.  The axis crossings are found here
+    unless given.
     """
-    crossings = detect_axis_crossings(traj)
+    if crossings is None:
+        crossings = detect_axis_crossings(traj)
     escaped = traj.termination is Termination.ESCAPED
     if escaped and len(crossings) <= 1:
         side = Side.RIGHT if traj.z[-1].real > 0 else Side.LEFT
@@ -370,28 +376,27 @@ def separatrix_offset(params: SystemParams, energy_real: float) -> float:
     :func:`well_x`).  Every left well maps to s = -i r_w, and s -> -conj(s) maps
     the leaf onto the one with s' = -2 zeta, so the offset (arg s + pi/2)/2 holds
     for every well and both directions.
+
+    The crossing time t solves |s(t)| = r_w by Newton's method on the exact flow
+    map ``integrator.chart_step`` from s = 0, one step of length t, started at the
+    free-flight time r_w / (2 zeta).
     """
-    q = chart_coefficients(params, complex(energy_real))
+    energy = complex(energy_real)
+    q = chart_coefficients(params, energy)
+    g2, g3 = chart_invariants(q)
     r_w = math.exp(-2.0 * well_x(params))
-    w, v = 0j, complex(2.0 * params.zeta)
-    a = chart_flow(params, complex(energy_real))(w)[0]
-    h = 1e-3
-    for _ in range(_LEAF_MAX_STEPS):
-        wn, vn, an, _, err = chart_step(q, w, v, a, h, _LEAF_ATOL, _LEAF_RTOL)
-        if err > 1.0:
-            h *= max(0.2, 0.9 * err**-0.125)
-            continue
-        if abs(wn) >= r_w:
-            for _ in range(8):  # Newton on the step length; d|w|/dh = Re(conj(w) w') / |w|
-                h -= (abs(wn) - r_w) * abs(wn) / (wn.conjugate() * vn).real
-                wn, vn = chart_step(q, w, v, a, h, _LEAF_ATOL, _LEAF_RTOL)[:2]
-            if abs(abs(wn) - r_w) <= 1e-14 * r_w:
-                return 0.5 * (cmath.phase(wn) + 0.5 * math.pi)
-            break
-        w, v, a = wn, vn, an
-        h *= min(5.0, 0.9 * err**-0.125) if err > 0 else 5.0
+    v0 = complex(2.0 * params.zeta)
+    a, qw = chart_flow(params, energy)(0j)
+    t = r_w / v0.real
+    for _ in range(_LEAF_NEWTON):
+        w, v = chart_step(q, 0j, v0, a, qw, step_constants(t, g2, g3))[:2]
+        dt = (abs(w) - r_w) * abs(w) / (w.conjugate() * v).real  # d|s|/dt = Re(conj(s) s') / |s|
+        t -= dt
+        if abs(dt) <= 1e-15 * t:
+            return 0.5 * (cmath.phase(w) + 0.5 * math.pi)
     raise AmbiguousOrbitError(
-        f"the separatrix leaf did not land on |s| = r_w within {_LEAF_MAX_STEPS} steps ({params}, E={energy_real!r})"
+        f"the separatrix leaf did not land on |s| = r_w within {_LEAF_NEWTON} Newton steps "
+        f"({params}, E={energy_real!r})"
     )
 
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 
 from .analysis import (
     CELL_EXIT_SPAN,
+    CrossingEvent,
     OrbitClass,
     OrbitKind,
     classify_orbit,
@@ -184,9 +185,9 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
             fh.writelines(f"{t!r},{x!r},{y!r},{u!r},{v!r},{e!r},{f!r}\n" for t, x, y, u, v, e, f in rows)
 
 
-def write_events_jsonl(traj: Trajectory, oc: OrbitClass, path: str) -> None:
+def write_events_jsonl(crossings: list[CrossingEvent], oc: OrbitClass, path: str) -> None:
     with open(path, "w") as fh:
-        for ev in detect_axis_crossings(traj):
+        for ev in crossings:
             crossing = {"type": "crossing", "t": ev.t_cross, "y": ev.y_at_cross, "dir": ev.direction.value}
             fh.write(json.dumps(crossing) + "\n")
         fh.write(json.dumps({"type": "classification", **_classification_payload(oc)}) + "\n")
@@ -200,9 +201,10 @@ def run_simulation(config: RunConfig) -> dict:
     z0 = config.start_point()
     p0 = initial_momentum(z0, config.energy, config.branch, config.params)
     traj = integrate(z0, p0, config.integrator, config.params)
+    crossings = detect_axis_crossings(traj)
 
     try:
-        oc = classify_orbit(traj)
+        oc = classify_orbit(traj, crossings)
     except AmbiguousOrbitError:
         if traj.termination in (Termination.DRIFT_EXCEEDED, Termination.STEP_LIMIT):
             raise NonFiniteStateError(
@@ -226,7 +228,7 @@ def run_simulation(config: RunConfig) -> dict:
         "n_samples": len(traj),
     }
     if oc.kind is OrbitKind.TUNNELING:
-        stats = measure_tunneling(traj)
+        stats = measure_tunneling(traj, crossings)
         summary["tunneling"] = {
             "tau": stats.tunneling_time,
             "dwell_left": stats.dwell_left_mean,
@@ -237,7 +239,7 @@ def run_simulation(config: RunConfig) -> dict:
     if config.trajectory_path:
         write_trajectory_csv(traj, config.trajectory_path)
     if config.events_path:
-        write_events_jsonl(traj, oc, config.events_path)
+        write_events_jsonl(crossings, oc, config.events_path)
     if config.summary_path:
         with open(config.summary_path, "w") as fh:
             json.dump(summary, fh, indent=2)

@@ -1,29 +1,41 @@
-"""Adaptive integration of Hamilton's equations in the complex plane.
+"""Integration of Hamilton's equations in the complex plane by the exact flow map.
 
 H = p^2 + V(z) is integrated in the exponential charts of
 ``dynamics.chart_flow``, w = e^{2z} left of the imaginary axis and
 w = e^{-2z} right of it, where the flow is the polynomial w'' = 2 Q'(w)
 and Re z = -/+inf is the regular point w = 0.  The whips of the paper's
 orbits, out to Re z ~ -7 where the cosh flow is exponentially steep, are
-passes near w = 0.  Hairer's DOP853, an explicit 8(5,3) pair (FSAL),
-under PI step control advances (w, w') in Nystrom form (Hairer, Norsett &
-Wanner, *Solving ODEs I*, II.5 and II.14): w'' does not depend on w', so
-the stages, the new w and its error estimates are sums of the stage
-accelerations weighted by A^2, bA, e5 A and e3 A of the same tableau, and
-the steps are the first-order pair's up to rounding.  Each stage evaluates
-2 Q' inline on ``dynamics.chart_coefficients``; the kernel runs only where
-the loop enters a chart.  At |w| > 1 the loop changes chart, w -> 1/w and
-w' -> -w'/w^2.  A step that turns w by more than 1 rad, or scales |w| by
-more than e, is rejected and halved: the integer count k of turns about
-w = 0 then stays exact, and approaches to w = 0 are resolved.
+passes near w = 0.  On the shell w'^2 = f(w) = 4 Q(w), a quartic, so the
+orbit is an elliptic function of t (Whittaker & Watson, *A Course of Modern
+Analysis*, 20.6): w(t0 + h) is a rational function of w(t0), w'(t0) and the
+Weierstrass function P(h) and P'(h) on the invariants g2, g3 of f
+(:func:`chart_invariants`).  Each step is that map, :func:`chart_step`,
+exact up to rounding.  P and P' at each step length are summed once per run
+from their Laurent series (DLMF 23.9, :func:`weierstrass_p`) and cached by
+length; a series that has not converged within its term budget, at a length
+near or beyond its radius, raises NonFiniteStateError.
+
+The step length is h = min(1/48, 0.13 / l) (rel_tol / 1e-10)^(1/8), with
+l = max(|g2|^(1/4), |g3|^(1/6)) the inverse length scale of the period
+lattice: h l = 0.13 is the median step of an adaptive DOP853 run at rel_tol
+1e-10 on the zeta = 0.1 orbits, the sample spacing that the polyline
+analyses rest on, and lies well inside the series' radius.  ``rel_tol``
+therefore sets the resolution of the samples, not a truncation error;
+``rel_tol`` and ``abs_tol`` together bound the projection below.  Every step
+length is h_max / 2^j, and t is h_max times the exact sum of the 2^-j, so
+the step ends carry the orbit's time to one rounding.  At |w| > 1 the loop
+changes chart, w -> 1/w and w' -> -w'/w^2.  A step that turns w by more
+than 1 rad, or scales |w| by more than e, is rejected and halved, and the
+next accepted step doubles the length back: the integer count k of turns
+about w = 0 then stays exact, and approaches to w = 0 are resolved.
 
 The loop keeps only the step ends.  Every ``_BLOCK_STEPS`` accepted steps,
 and at the end of the run, numpy emits ``SAMPLES_PER_STEP`` samples per
 step, at theta = j / SAMPLES_PER_STEP of it, from the step's degree-7
 Hermite interpolant of w on w, w', w'' and w''' = 2 Q''(w) w'
-(``dynamics.chart_jerk``) at both ends (*Solving ODEs I*, II.6).  Each
-sample is projected onto the shell as below and mapped to
-z = c (ln|w| + i (arg w + 2 pi k)) / 2, p = c w' / (4w) with its step's
+(``dynamics.chart_jerk``) at both ends (Hairer, Norsett & Wanner, *Solving
+ODEs I*, II.6).  Each sample is projected onto the shell as below and mapped
+to z = c (ln|w| + i (arg w + 2 pi k)) / 2, p = c w' / (4w) with its step's
 chart, c = +1 on the left and -1 on the right, and turn count.  With
 ``stop_at_return`` the return watch reads each block as it is emitted, and
 a block also ends at any step that ends near the start: the samples end at
@@ -38,7 +50,8 @@ of Q where grad I = 0 and Q's rounding is the residual: a projection that
 would move w or w' by more than atol + rtol times its size is skipped.  The
 residual before the projection, |I| / (16 |w|^2) / max(1, |E|), is
 |H - E| / max(1, |E|) of the unprojected state, the energy error of one
-step: ``Trajectory.drift``.  The first step whose drift exceeds
+step, rounding alone for the exact map: ``Trajectory.drift``.  Measured in
+z it grows as 1/|w|^2 on a whip.  The first step whose drift exceeds
 ``energy_drift_limit`` is discarded and integration stops.  The escape
 bounds are tested before the drift, on that step's end: the run ends
 ``Termination.ESCAPED`` if it lies beyond one, else
@@ -73,6 +86,9 @@ __all__ = [
     "Trajectory",
     "initial_momentum",
     "derivative",
+    "chart_invariants",
+    "weierstrass_p",
+    "step_constants",
     "chart_step",
     "integrate",
 ]
@@ -102,6 +118,18 @@ class PhaseState:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """Settings of one run of :func:`integrate`.
+
+    ``rel_tol`` sets the step length, as (rel_tol / 1e-10)^(1/8) times the
+    length at 1e-10, and with ``abs_tol`` the largest projection onto the
+    shell, atol + rtol times the size of w or w', beyond which it is skipped.
+    The run ends at ``t_max``, after ``max_steps`` steps (accepted and
+    rejected), at the first step whose energy error exceeds
+    ``energy_drift_limit`` (``Termination.DRIFT_EXCEEDED``), or where |Re z|
+    exceeds ``escape_radius`` or |Im z - Im z0| exceeds ``escape_y_span``
+    (``Termination.ESCAPED``).
+    """
+
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     t_max: float = 200.0
@@ -277,154 +305,95 @@ def _hermite_closest(a, ma, b, mb, tol: float) -> float | None:
     return s if math.sqrt(_norm_sq(*(complex(np.polyval(c, s)) for c in coef))) <= tol else None
 
 
-# DOP853, the 8(5,3) pair of Hairer, Norsett & Wanner, *Solving ODEs I*, II.5, with the
-# coefficients of Hairer's dop853.f: the nonzero entries {j: a_ij} of stage rows 2-13,
-# the last being the eighth-order weights b (stage 13 is taken at the new point, FSAL),
-# the fifth-order error weights e5, and the third-order weights bhat3 (e3 = b - bhat3).
-_DOP853_ROWS = (
-    {0: 5.26001519587677318785587544488e-2},
-    {0: 1.97250569845378994544595329183e-2, 1: 5.91751709536136983633785987549e-2},
-    {0: 2.95875854768068491816892993775e-2, 2: 8.87627564304205475450678981324e-2},
-    {0: 2.41365134159266685502369798665e-1, 2: -8.84549479328286085344864962717e-1,
-     3: 9.24834003261792003115737966543e-1},
-    {0: 3.7037037037037037037037037037e-2, 3: 1.70828608729473871279604482173e-1,
-     4: 1.25467687566822425016691814123e-1},
-    {0: 3.7109375e-2, 3: 1.70252211019544039314978060272e-1, 4: 6.02165389804559606850219397283e-2,
-     5: -1.7578125e-2},
-    {0: 3.70920001185047927108779319836e-2, 3: 1.70383925712239993810214054705e-1,
-     4: 1.07262030446373284651809199168e-1, 5: -1.53194377486244017527936158236e-2,
-     6: 8.27378916381402288758473766002e-3},
-    {0: 6.24110958716075717114429577812e-1, 3: -3.36089262944694129406857109825,
-     4: -8.68219346841726006818189891453e-1, 5: 2.75920996994467083049415600797e1,
-     6: 2.01540675504778934086186788979e1, 7: -4.34898841810699588477366255144e1},
-    {0: 4.77662536438264365890433908527e-1, 3: -2.48811461997166764192642586468,
-     4: -5.90290826836842996371446475743e-1, 5: 2.12300514481811942347288949897e1,
-     6: 1.52792336328824235832596922938e1, 7: -3.32882109689848629194453265587e1,
-     8: -2.03312017085086261358222928593e-2},
-    {0: -9.3714243008598732571704021658e-1, 3: 5.18637242884406370830023853209,
-     4: 1.09143734899672957818500254654, 5: -8.14978701074692612513997267357,
-     6: -1.85200656599969598641566180701e1, 7: 2.27394870993505042818970056734e1,
-     8: 2.49360555267965238987089396762, 9: -3.0467644718982195003823669022},
-    {0: 2.27331014751653820792359768449, 3: -1.05344954667372501984066689879e1,
-     4: -2.00087205822486249909675718444, 5: -1.79589318631187989172765950534e1,
-     6: 2.79488845294199600508499808837e1, 7: -2.85899827713502369474065508674,
-     8: -8.87285693353062954433549289258, 9: 1.23605671757943030647266201528e1,
-     10: 6.43392746015763530355970484046e-1},
-    {0: 5.42937341165687622380535766363e-2, 5: 4.45031289275240888144113950566,
-     6: 1.89151789931450038304281599044, 7: -5.8012039600105847814672114227,
-     8: 3.1116436695781989440891606237e-1, 9: -1.52160949662516078556178806805e-1,
-     10: 2.01365400804030348374776537501e-1, 11: 4.47106157277725905176885569043e-2},
-)
-_DOP853_E5 = {
-    0: 0.1312004499419488073250102996e-1, 5: -0.1225156446376204440720569753e+1,
-    6: -0.4957589496572501915214079952, 7: 0.1664377182454986536961530415e+1,
-    8: -0.3503288487499736816886487290, 9: 0.3341791187130174790297318841,
-    10: 0.8192320648511571246570742613e-1, 11: -0.2235530786388629525884427845e-1,
-}
-_DOP853_BHAT3 = {
-    0: 0.244094488188976377952755905512, 8: 0.733846688281611857341361741547, 11: 0.220588235294117647058823529412e-1,
-}
-
-
-def _nystrom():
-    """c, A^2, b, e5, e3, e5 A and e3 A of the DOP853 tableau, in floats.  For
-    w'' = g(w), stage i sits at w + c_i h w' + h^2 sum_l (A^2)_il g(stage l), with
-    c_i the row sums of A; the new w is row 13 of A^2, b A (sum b = 1), and the
-    error estimates of w are h^2 sum_l (e A)_l g(stage l) (sum e = 0)."""
-    n = len(_DOP853_ROWS) + 1
-    a = [[0.0] * n] + [[row.get(j, 0.0) for j in range(n)] for row in _DOP853_ROWS]
-    b = a[-1]
-    e5 = [_DOP853_E5.get(j, 0.0) for j in range(n)]
-    e3 = [b[j] - _DOP853_BHAT3.get(j, 0.0) for j in range(n)]
-
-    def times_a(u):
-        return [math.fsum(u[j] * a[j][l] for j in range(n)) for l in range(n)]
-
-    return [math.fsum(r) for r in a], [times_a(r) for r in a], b, e5, e3, times_a(e5), times_a(e3)
-
-
-def _nonzero(u):
-    return [x for x in u if x]
-
-
-_C, _AA, _B, _E5, _E3, _E5A, _E3A = _nystrom()
-_C1, _C2, _C3, _C4, _C5, _C6, _C7, _C8, _C9, _C10, _C11 = _C[1:12]
-# the nonzero entries of rows 3-12 of A^2, and of b A, b, e A, e5 and bhat3, by stage
-(
-    (_A2_0,),
-    (_A3_0, _A3_1),
-    (_A4_0, _A4_1, _A4_2),
-    (_A5_0, _A5_2, _A5_3),
-    (_A6_0, _A6_2, _A6_3, _A6_4),
-    (_A7_0, _A7_2, _A7_3, _A7_4, _A7_5),
-    (_A8_0, _A8_2, _A8_3, _A8_4, _A8_5, _A8_6),
-    (_A9_0, _A9_2, _A9_3, _A9_4, _A9_5, _A9_6, _A9_7),
-    (_A10_0, _A10_2, _A10_3, _A10_4, _A10_5, _A10_6, _A10_7, _A10_8),
-    (_A11_0, _A11_2, _A11_3, _A11_4, _A11_5, _A11_6, _A11_7, _A11_8, _A11_9),
-    (_W0, _W3, _W4, _W5, _W6, _W7, _W8, _W9, _W10),
-) = map(_nonzero, _AA[2:])
-_P0, _P3, _P4, _P5, _P6, _P7, _P8, _P9, _P10 = _nonzero(_E5A)
-_Q0, _Q3, _Q4, _Q5, _Q6, _Q7, _Q8, _Q9, _Q10 = _nonzero(_E3A)
-_B0, _B5, _B6, _B7, _B8, _B9, _B10, _B11 = _nonzero(_B)
-_F0, _F5, _F6, _F7, _F8, _F9, _F10, _F11 = _nonzero(_E5)
-_H0, _H8, _H11 = _DOP853_BHAT3.values()
-
-
-def chart_step(q, w: complex, v: complex, a: complex, h: float, atol: float, rtol: float):
-    """One DOP853 step of w'' = 2 Q'(w) in Nystrom form from (w, w'), where w'' = a, on Q's
-    coefficients ``q`` (``dynamics.chart_coefficients``), evaluated inline in Horner form:
-    the new w, w', w'' and Q(w), and the error norm of DOP853, which combines the fifth- and
-    third-order estimates of w and w', each over atol + rtol times its larger end."""
-    q0, q1, q2, q3, q4 = q
-    k0, k1, k2, k3 = 2.0 * q1, 4.0 * q2, 6.0 * q3, 8.0 * q4  # 2 Q'(u) = ((k3 u + k2) u + k1) u + k0
-    hv = h * v
-    hh = h * h
-    g0 = a
-    g1 = ((k3 * (u := w + _C1 * hv) + k2) * u + k1) * u + k0
-    g2 = ((k3 * (u := w + _C2 * hv + hh * (_A2_0 * g0)) + k2) * u + k1) * u + k0
-    g3 = ((k3 * (u := w + _C3 * hv + hh * (_A3_0 * g0 + _A3_1 * g1)) + k2) * u + k1) * u + k0
-    g4 = ((k3 * (u := w + _C4 * hv + hh * (_A4_0 * g0 + _A4_1 * g1 + _A4_2 * g2)) + k2) * u + k1) * u + k0
-    g5 = ((k3 * (u := w + _C5 * hv + hh * (_A5_0 * g0 + _A5_2 * g2 + _A5_3 * g3)) + k2) * u + k1) * u + k0
-    g6 = ((k3 * (u := w + _C6 * hv + hh * (_A6_0 * g0 + _A6_2 * g2 + _A6_3 * g3 + _A6_4 * g4)) + k2) * u + k1) * u + k0
-    s7 = _A7_0 * g0 + _A7_2 * g2 + _A7_3 * g3 + _A7_4 * g4 + _A7_5 * g5
-    g7 = ((k3 * (u := w + _C7 * hv + hh * s7) + k2) * u + k1) * u + k0
-    s8 = _A8_0 * g0 + _A8_2 * g2 + _A8_3 * g3 + _A8_4 * g4 + _A8_5 * g5 + _A8_6 * g6
-    g8 = ((k3 * (u := w + _C8 * hv + hh * s8) + k2) * u + k1) * u + k0
-    s9 = _A9_0 * g0 + _A9_2 * g2 + _A9_3 * g3 + _A9_4 * g4 + _A9_5 * g5 + _A9_6 * g6 + _A9_7 * g7
-    g9 = ((k3 * (u := w + _C9 * hv + hh * s9) + k2) * u + k1) * u + k0
-    s10 = _A10_0 * g0 + _A10_2 * g2 + _A10_3 * g3 + _A10_4 * g4 + _A10_5 * g5 + _A10_6 * g6 + _A10_7 * g7
-    g10 = ((k3 * (u := w + _C10 * hv + hh * (s10 + _A10_8 * g8)) + k2) * u + k1) * u + k0
-    s11 = _A11_0 * g0 + _A11_2 * g2 + _A11_3 * g3 + _A11_4 * g4 + _A11_5 * g5 + _A11_6 * g6 + _A11_7 * g7
-    g11 = ((k3 * (u := w + _C11 * hv + hh * (s11 + _A11_8 * g8 + _A11_9 * g9)) + k2) * u + k1) * u + k0
-    bw = _W0 * g0 + _W3 * g3 + _W4 * g4 + _W5 * g5 + _W6 * g6 + _W7 * g7 + _W8 * g8 + _W9 * g9 + _W10 * g10
-    wn = w + hv + hh * bw
-    vn = v + h * (bg := _B0 * g0 + _B5 * g5 + _B6 * g6 + _B7 * g7 + _B8 * g8 + _B9 * g9 + _B10 * g10 + _B11 * g11)
-    an, qn = ((k3 * wn + k2) * wn + k1) * wn + k0, (((q4 * wn + q3) * wn + q2) * wn + q1) * wn + q0
-    x, y, s, u = abs(w), abs(wn), abs(v), abs(vn)  # the larger of each pair below, without the slower max()
-    sw = atol + rtol * (x if x > y else y)
-    sv = atol + rtol * (s if s > u else u)
-    # the fifth- and third-order error estimates of w and w', over their scales (e3 g = b g - bhat3 g)
-    e5w = abs(_P0 * g0 + _P3 * g3 + _P4 * g4 + _P5 * g5 + _P6 * g6 + _P7 * g7 + _P8 * g8 + _P9 * g9 + _P10 * g10)
-    e3w = abs(_Q0 * g0 + _Q3 * g3 + _Q4 * g4 + _Q5 * g5 + _Q6 * g6 + _Q7 * g7 + _Q8 * g8 + _Q9 * g9 + _Q10 * g10)
-    e5v = abs(_F0 * g0 + _F5 * g5 + _F6 * g6 + _F7 * g7 + _F8 * g8 + _F9 * g9 + _F10 * g10 + _F11 * g11) * h / sv
-    e3v = abs(bg - (_H0 * g0 + _H8 * g8 + _H11 * g11)) * h / sv
-    e5w *= hh / sw
-    e3w *= hh / sw
-    # DOP853's norm, e5^2 / sqrt(e5^2 + e3^2 / 100) over the squared sums e5^2 and e3^2, as an RMS of two
-    e5 = e5w * e5w + e5v * e5v
-    err = e5 / math.sqrt(2.0 * (e5 + 0.01 * (e3w * e3w + e3v * e3v))) if e5 else 0.0
-    return wn, vn, an, qn, err
-
-
 _EPS = 2.220446049250313e-16
-_H_FIRST = 1e-3  # the first trial step; the PI control sizes the rest
-# 0.8, not DOP853's usual 0.9: at 0.9 the end states of the closed and tunneling
-# figures and of sweep rows E2 = 2.0 and 3.2 were 2-2.5x farther from a rel_tol
-# 1e-14 run than the DP5 loop's; at 0.8 each is closer than DP5's
-_SAFETY = 0.8
-_BETA = 0.04
-_EXPO = 0.125  # 1 / (order + 1) of the seventh-order error estimate
-_EXPO1 = _EXPO - 0.2 * _BETA
+# the most terms of the Laurent series of the Weierstrass function that are summed
+_SERIES_TERMS = 48
+
+
+def chart_invariants(q) -> tuple[complex, complex]:
+    """The invariants (g2, g3) of f = 4Q, from Q's coefficients ``q``
+    (``dynamics.chart_coefficients``).  With f(w) = a0 w^4 + 4a1 w^3 + 6a2 w^2 + 4a3 w + a4,
+    g2 = a0 a4 - 4 a1 a3 + 3 a2^2 and g3 = a0 a2 a4 + 2 a1 a2 a3 - a2^3 - a0 a3^2 - a1^2 a4
+    (Whittaker & Watson, *A Course of Modern Analysis*, 20.6)."""
+    q0, q1, q2, q3, q4 = q
+    a0, a1, a2, a3, a4 = 4.0 * q4, q3, 2.0 * q2 / 3.0, q1, 4.0 * q0
+    g2 = a0 * a4 - 4.0 * a1 * a3 + 3.0 * a2 * a2
+    g3 = a0 * a2 * a4 + 2.0 * a1 * a2 * a3 - a2**3 - a0 * a3 * a3 - a1 * a1 * a4
+    return g2, g3
+
+
+def weierstrass_p(u: float, g2: complex, g3: complex) -> tuple[complex, complex]:
+    """(P(u), P'(u)) of the Weierstrass function on the invariants g2, g3, from its
+    Laurent series at 0 (DLMF 23.9): P(u) = 1/u^2 + sum_{k>=2} c_k u^{2k-2}, with
+    c2 = g2/20, c3 = g3/28 and c_k = 3/((2k+1)(k-3)) sum_{m=2}^{k-2} c_m c_{k-m}.
+
+    The sums end once three terms in a row of each lie below half an ulp of its
+    total.  A series that has not ended within ``_SERIES_TERMS`` terms, as at a u
+    near or beyond its radius (the nearest nonzero lattice point), raises
+    NonFiniteStateError.
+    """
+    uu = u * u
+    p, d = 1.0 / uu, -2.0 / (uu * u)
+    c = [0j, 0j, g2 / 20.0, g3 / 28.0]
+    power = uu  # u^{2k-2}
+    small = 0
+    for k in range(2, _SERIES_TERMS + 2):
+        if k > 3:
+            c.append(3.0 / ((2 * k + 1) * (k - 3)) * sum(c[m] * c[k - m] for m in range(2, k - 1)))
+        term = c[k] * power
+        dterm = (2 * k - 2) * term / u
+        p += term
+        d += dterm
+        small = small + 1 if abs(term) <= 0.5 * _EPS * abs(p) and abs(dterm) <= 0.5 * _EPS * abs(d) else 0
+        if small == 3:
+            return p, d
+        power *= uu
+    raise NonFiniteStateError(
+        f"the Laurent series of the Weierstrass function did not converge within {_SERIES_TERMS} terms "
+        f"at u={u!r} (g2={g2!r}, g3={g3!r}): u lies near or beyond its radius"
+    )
+
+
+def step_constants(u: float, g2: complex, g3: complex) -> tuple[complex, complex, complex, complex]:
+    """What :func:`chart_step` takes of a step length u: P, P' (:func:`weierstrass_p`),
+    P'' = 6 P^2 - g2/2 and K = 2 P^3 - 3/2 g2 P - 2 g3, which is 2 P'^2 - P P'' on the
+    curve P'^2 = 4 P^3 - g2 P - g3."""
+    p, dp = weierstrass_p(u, g2, g3)
+    return p, dp, 6.0 * p * p - 0.5 * g2, (2.0 * p * p - 1.5 * g2) * p - 2.0 * g3
+
+
+def chart_step(q, w: complex, v: complex, a: complex, qw: complex, pk: tuple[complex, complex, complex, complex]):
+    """The exact flow map of w'^2 = 4 Q(w) over one step, on Q's coefficients ``q``
+    (``dynamics.chart_coefficients``): from (w, w'), where w'' = a and Q(w) = qw, with
+    ``pk`` the :func:`step_constants` of the step length, the new w, w', w'' = 2 Q'(w)
+    and Q(w), the last two in Horner form.
+
+    With f = 4Q, sigma = f''(w)/24, s = P - sigma, N = -w' P' + f'(w) s/2 + f(w) f'''(w)/24
+    and D = 2 s^2 - f(w) f''''(w)/48, the new w is w + N/D (Whittaker & Watson, 20.6).
+    The new w' is (N' D - N D')/D^2, with N' = -w' P'' + f'(w) P'/2 and D' = 4 s P';
+    its terms in w' P'^2, whose leading orders in the step length cancel, are summed as
+    w' (2 s (K + sigma P'') + f(w) f''''(w)/48 P''), by the curve.
+    """
+    q0, q1, q2, q3, q4 = q
+    p, dp, ddp, k = pk
+    sig = (2.0 * q4 * w + q3) * w + q2 / 3.0
+    gam = 4.0 * qw * (4.0 * q4 * w + q3)  # f f'''/24
+    bf = 8.0 * q4 * qw  # f f''''/48
+    s = p - sig
+    ss = s * s
+    n = a * s - v * dp + gam
+    r = 1.0 / (2.0 * ss - bf)
+    wn = w + n * r
+    vn = (v * (2.0 * s * (k + sig * ddp) + bf * ddp) - dp * (a * (2.0 * ss + bf) + 4.0 * s * gam)) * r * r
+    an = ((8.0 * q4 * wn + 6.0 * q3) * wn + 4.0 * q2) * wn + 2.0 * q1
+    qn = (((q4 * wn + q3) * wn + q2) * wn + q1) * wn + q0
+    return wn, vn, an, qn
+
+
+# the step length at rel_tol 1e-10: h l = 0.13, with l = max(|g2|^(1/4), |g3|^(1/6)) the
+# lattice's inverse length scale, but at most 1/48; it scales as rel_tol^(1/8)
+_H_LATTICE = 0.13
+_H_MAX = 1.0 / 48.0
 # largest change of ln w, real or imaginary, in one accepted step
 _MAX_DLOG = 1.0
 _MAX_RATIO = math.exp(_MAX_DLOG)
@@ -517,6 +486,7 @@ def integrate(
         raise DomainError(f"initial energy is not finite: {e0!r}")
 
     q = chart_coefficients(params, e0)
+    g2, g3 = chart_invariants(q)
     accel = chart_flow(params, e0)
     jerk = chart_jerk(params, e0)
     e_scale = max(1.0, abs(e0))
@@ -525,6 +495,9 @@ def integrate(
     w_escape = math.exp(-2.0 * config.escape_radius)  # |Re z| > escape_radius: |w| off [w_escape, 1 / w_escape]
     y0 = z0.imag
     log, phase, hypot, inf = math.log, cmath.phase, math.hypot, math.inf
+    ell = max(abs(g2) ** 0.25, abs(g3) ** (1.0 / 6.0))
+    h_max = (min(_H_MAX, _H_LATTICE / ell) if ell else _H_MAX) * (rtol / 1e-10) ** 0.125
+    constants: dict[float, tuple] = {}  # step_constants by step length
 
     t, z, p = 0.0, complex(z0), complex(p0)
     watch = ReturnWatch(t, z, p, params) if config.stop_at_return else None
@@ -548,39 +521,41 @@ def integrate(
     c = 1.0 if z.real <= 0.0 else -1.0
     w = cmath.exp(2.0 * c * z)
     v = 4.0 * c * p * w
-    a = accel(w)[0]
+    a, qw = accel(w)
     aw = abs(w)
     ph = phase(w)
     k = round((2.0 * c * z.imag - ph) / _TWO_PI)
 
-    h = min(_H_FIRST, t_max)
-    facold = 1e-4
+    # the step is scale * h_max, scale = 2^-j; t = units * h_max, units the exact sum of the scales
+    units, scale = 0.0, 1.0
     n_acc = n_rej = 0
-    rejected_last = False
 
     while True:
         if n_acc + n_rej >= max_steps:
             termination = Termination.STEP_LIMIT
             break
-        last_step = t + h >= t_max
-        if last_step:
-            h = t_max - t
+        t_end = (units + scale) * h_max
+        last_step = t_end >= t_max
+        h = t_max - t if last_step else scale * h_max
 
-        wn, vn, an, qn, err = chart_step(q, w, v, a, h, atol, rtol)
+        pk = constants.get(h)
+        if pk is None:
+            pk = constants[h] = step_constants(h, g2, g3)
+        wn, vn, an, qn = chart_step(q, w, v, a, qw, pk)
         awn, avn = abs(wn), abs(vn)
         if not (0.0 < awn < inf and avn < inf):
             raise NonFiniteStateError(f"state leaves the chart at t={t!r}: w={wn!r}, w'={vn!r}")
         darg = abs(phase(wn) - ph)
 
-        if err > 1.0 or _MAX_DLOG < darg < _TWO_PI - _MAX_DLOG or awn * _MAX_RATIO < aw or awn > aw * _MAX_RATIO:
+        if _MAX_DLOG < darg < _TWO_PI - _MAX_DLOG or awn * _MAX_RATIO < aw or awn > aw * _MAX_RATIO:
             n_rej += 1
-            h *= 0.5 if err <= 1.0 else max(0.2, _SAFETY * err**-_EXPO)
-            rejected_last = True
-            if h < 1e-14 * max(1.0, abs(t)):
+            scale *= 0.5
+            if scale * h_max < 1e-14 * max(1.0, abs(t)):
                 raise NonFiniteStateError(f"step size underflow at t={t!r} (h={h!r})")
             continue
 
-        t = t_max if last_step else t + h
+        t = t_max if last_step else t_end
+        units += scale
         n_acc += 1
         # the projection onto I = 0, grad I = (-2 w'', 2 w'); I is the step's energy error
         res = vn * vn - 4.0 * qn
@@ -597,7 +572,7 @@ def integrate(
         ph = ph_new
         if drift <= drift_limit:
             steps.append((t, h, c, k, w, v, a, wn, vn, an, drift))
-        w, v, a = wn, vn, an
+        w, v, a, qw = wn, vn, an, qn
         y = 0.5 * c * (ph + k * _TWO_PI + k * _TWO_PI_LO)  # Im z
         if watch is not None:
             # a step of arc length at most twice its chord, in (z, p), passes within
@@ -632,14 +607,8 @@ def integrate(
             aw = abs(w)
             ph = phase(w)
             k = round((2.0 * c * y - ph) / _TWO_PI)
-            a = accel(w)[0]
-
-        # PI control: fac clipped to [0.2, 10], and to 1 after a rejection
-        fac = 10.0 if err == 0.0 else _SAFETY * err ** (-_EXPO1) * facold**_BETA
-        fac = 10.0 if fac > 10.0 else 0.2 if fac < 0.2 else fac
-        h *= 1.0 if rejected_last and fac > 1.0 else fac
-        facold = err if err > 1e-4 else 1e-4
-        rejected_last = False
+            a, qw = accel(w)
+        scale = min(2.0 * scale, 1.0)
 
     if flush():  # a return among the last samples ends the run there, before any later stop
         termination = Termination.RETURNED

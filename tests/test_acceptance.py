@@ -68,6 +68,7 @@ from ptwells import (
     tunnel_well_pair,
     well_center,
 )
+from ptwells import integrator
 from ptwells.analysis import PROBE_CONFIG
 from ptwells.cli import RunConfig, cmd_sweep_e2, run_preset, run_simulation
 from ptwells.spectrum import ZETA_C_M3
@@ -301,7 +302,7 @@ def test_criterion_4_closed_orbit_boundary(boundary_results, mp_separatrix):
     report(4, "closed-orbit boundary", ok, detail)
 
 
-def test_criterion_5_energy_conservation(full_sweep, map_runs, boundary_results):
+def test_criterion_5_energy_conservation(full_sweep, map_runs, boundary_results, monkeypatch):
     # time reversal on a bounded run, T = 50
     c = well_center(WellIndex(Side.LEFT, 0), P_MAIN)
     z0 = complex(c.real, c.imag + 0.4740)
@@ -329,8 +330,18 @@ def test_criterion_5_energy_conservation(full_sweep, map_runs, boundary_results)
     worst = max(loads, key=loads.get)
     over = [k for k, v in loads.items() if v > 1.0]
 
-    # control: a loose run whose floor stays tiny must not fit the allowance
-    loose = integrate(z0, p0, IntegratorConfig(t_max=40.0, rel_tol=1e-5, energy_drift_limit=1.0), P_MAIN)
+    # control: a run whose steps err by about 1e-5 and whose floor stays tiny must not fit
+    # the allowance.  The steps are the exact flow map, so the error is put into the
+    # Weierstrass values P and P' of each step: both are scaled by 1 + 1e-5, in the one
+    # function that computes them
+    exact_p = integrator.weierstrass_p
+
+    def perturbed_p(u, g2, g3):
+        return tuple(x * (1.0 + 1e-5) for x in exact_p(u, g2, g3))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(integrator, "weierstrass_p", perturbed_p)
+        loose = integrate(z0, p0, IntegratorConfig(t_max=40.0, energy_drift_limit=1.0), P_MAIN)
     control = load(loose.max_drift, loose.drift_floor_rss)
 
     ok = reversal_ok and not over and control > 1.0
@@ -340,7 +351,7 @@ def test_criterion_5_energy_conservation(full_sweep, map_runs, boundary_results)
         f"{loads[worst]:.2f} of 1e-8 + {DRIFT_FLOOR_FACTOR:.3g} x rss; "
         f"{len(over)}/{len(runs)} trajectories over their allowance"
         + (f": {', '.join(over)}" if over else "")
-        + f"; rel_tol 1e-5 control at {control:.0f} x its allowance (must exceed 1)"
+        + f"; control with P, P' off by 1e-5 at {control:.0f} x its allowance (must exceed 1)"
     )
     report(5, "energy conservation", ok, detail)
 

@@ -417,9 +417,9 @@ class TestSeparatrix:
             separatrix_offset(P, math.nan)
 
     def test_step_budget_raises(self, monkeypatch):
-        # the leaf needs 9 trial steps to reach the well line
-        monkeypatch.setattr(analysis, "_LEAF_MAX_STEPS", 8)
-        with pytest.raises(AmbiguousOrbitError, match="within 8 steps"):
+        # Newton's method needs 4 steps from the free-flight time to the well line
+        monkeypatch.setattr(analysis, "_LEAF_NEWTON", 3)
+        with pytest.raises(AmbiguousOrbitError, match="within 3 Newton steps"):
             separatrix_offset(P, 0.8)
 
 

@@ -1,11 +1,23 @@
 import json
+import pathlib
+import runpy
 import subprocess
 import sys
 from dataclasses import replace
 
 import pytest
 
-from ptwells import DomainError, Side, SystemParams, WellIndex, analysis, cli, well_center
+from ptwells import (
+    DomainError,
+    IntegratorConfig,
+    MomentumBranch,
+    Side,
+    SystemParams,
+    WellIndex,
+    analysis,
+    cli,
+    well_center,
+)
 from ptwells.analysis import BOUNDARY_WIDTH, PROBE_CONFIG
 from ptwells.cli import (
     EXIT_AMBIGUOUS,
@@ -20,6 +32,7 @@ from ptwells.cli import (
     run_preset,
 )
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 CLOSED_START = "point:-2.047311112165265,-0.3113981633974483"  # 0.474 above left n=0
 COMMANDS = ("simulate", "sweep-e2", "threshold")  # the subcommands that read a config file
 # the integrator flags that simulate and sweep-e2 no longer take, each with a value
@@ -508,3 +521,94 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert proc.returncode == EXIT_USAGE
+
+
+class TestCrossingsFoundOnce:
+    """run_simulation finds the axis crossings once and hands them to classify_orbit,
+    measure_tunneling and the events writer.  Its files are those of the former path,
+    on which each of the three found them again from the trajectory; both paths run on
+    the same trajectories (``cli.integrate`` memoized)."""
+
+    FIGURES = {
+        "closed": cli.RunConfig(
+            params=SystemParams(0.1, 3),
+            energy=0.8 + 0j,
+            start=CLOSED_START,
+            branch=MomentumBranch.PRINCIPAL,
+            integrator=IntegratorConfig(t_max=40.0),
+        ),
+        "tunneling": cli.RunConfig(
+            params=SystemParams(0.1, 3),
+            energy=1 + 1j,
+            start="origin",
+            branch=MomentumBranch.PRINCIPAL,
+            integrator=run_preset(1 + 1j, 150.0),
+        ),
+    }
+
+    @pytest.fixture()
+    def memo(self, monkeypatch):
+        trajectories = {}
+        integrate = cli.integrate
+
+        def cached(*args):
+            if args not in trajectories:
+                trajectories[args] = integrate(*args)
+            return trajectories[args]
+
+        monkeypatch.setattr(cli, "integrate", cached)
+        return trajectories
+
+    @staticmethod
+    def former_path(patch) -> None:
+        last = []
+        integrate = cli.integrate
+
+        def capture(*args):
+            last.append(integrate(*args))
+            return last[-1]
+
+        write = cli.write_events_jsonl
+
+        def write_found_again(crossings, oc, path):
+            write(analysis.detect_axis_crossings(last[-1]), oc, path)
+
+        patch.setattr(cli, "integrate", capture)
+        patch.setattr(cli, "classify_orbit", lambda traj, crossings: analysis.classify_orbit(traj))
+        patch.setattr(cli, "measure_tunneling", lambda traj, crossings: analysis.measure_tunneling(traj))
+        patch.setattr(cli, "write_events_jsonl", write_found_again)
+
+    @pytest.mark.parametrize("name", ["closed", "tunneling"])
+    def test_figure_files_equal_the_former_path(self, name, memo, monkeypatch, tmp_path):
+        calls = []
+        detect = analysis.detect_axis_crossings
+
+        def counted(traj):
+            calls.append(traj)
+            return detect(traj)
+
+        paths = {side: (tmp_path / f"{side}.json", tmp_path / f"{side}.jsonl") for side in ("once", "former")}
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "detect_axis_crossings", counted)
+            patch.setattr(analysis, "detect_axis_crossings", counted)
+            summary, events = paths["once"]
+            cli.run_simulation(replace(self.FIGURES[name], summary_path=str(summary), events_path=str(events)))
+        assert len(calls) == 1
+        with monkeypatch.context() as patch:
+            self.former_path(patch)
+            summary, events = paths["former"]
+            cli.run_simulation(replace(self.FIGURES[name], summary_path=str(summary), events_path=str(events)))
+        assert len(memo) == 1
+        for once, former in zip(paths["once"], paths["former"]):
+            assert once.read_bytes() == former.read_bytes()
+
+    def test_table_sweep_csv_equals_the_former_path(self, memo, monkeypatch, tmp_path):
+        e2 = runpy.run_path(str(ROOT / "scripts" / "run_table_sweep.py"))["E2_VALUES"]
+        assert len(e2) == 27
+        once, former = tmp_path / "once.csv", tmp_path / "former.csv"
+        cmd_sweep_e2(SystemParams(0.1, 3), 1.0, e2, out_path=str(once), workers=1)
+        with monkeypatch.context() as patch:
+            self.former_path(patch)
+            cmd_sweep_e2(SystemParams(0.1, 3), 1.0, e2, out_path=str(former), workers=1)
+        assert len(memo) == 27
+        assert once.read_bytes() == former.read_bytes()
