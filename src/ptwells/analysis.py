@@ -36,6 +36,7 @@ from .integrator import (
     chart_step,
     initial_momentum,
     integrate,
+    laurent_coefficients,
     step_constants,
 )
 from .wells import Side, WellIndex, nearest_well, nearest_wells, well_center, well_x
@@ -383,13 +384,13 @@ def separatrix_offset(params: SystemParams, energy_real: float) -> float:
     """
     energy = complex(energy_real)
     q = chart_coefficients(params, energy)
-    g2, g3 = chart_invariants(q)
+    coeffs = laurent_coefficients(*chart_invariants(q))
     r_w = math.exp(-2.0 * well_x(params))
     v0 = complex(2.0 * params.zeta)
     a, qw = chart_flow(params, energy)(0j)
     t = r_w / v0.real
     for _ in range(_LEAF_NEWTON):
-        w, v = chart_step(q, 0j, v0, a, qw, step_constants(t, g2, g3))[:2]
+        w, v = chart_step(q, 0j, v0, a, qw, step_constants(t, coeffs))[:2]
         dt = (abs(w) - r_w) * abs(w) / (w.conjugate() * v).real  # d|s|/dt = Re(conj(s) s') / |s|
         t -= dt
         if abs(dt) <= 1e-15 * t:

@@ -21,7 +21,6 @@ __all__ = [
     "flow",
     "chart_coefficients",
     "chart_flow",
-    "chart_jerk",
     "potential",
     "potential_array",
     "potential_gradient",
@@ -93,8 +92,8 @@ def chart_coefficients(params: SystemParams, energy: complex) -> tuple[complex, 
     """The coefficients (q0, q1, q2, q3, q4) of the chart polynomial at energy E,
     Q(w) = 4E w^2 + (zeta w^2 - 2iM w + zeta)^2 = q0 + q1 w + q2 w^2 + q3 w^3 + q4 w^4:
     q0 = q4 = zeta^2, q1 = q3 = -4iM zeta and q2 = 4E - 4M^2 + 2 zeta^2.  Q is written
-    out here only; :func:`chart_flow`, :func:`chart_jerk` and ``integrator.chart_step``
-    evaluate it and its derivatives in Horner form on these coefficients."""
+    out here only; :func:`chart_flow` and ``integrator.chart_step``, on scalars and on the
+    samples' arrays, evaluate it and its derivatives in Horner form on these coefficients."""
     _require_finite(energy, "energy")
     zeta, m = params.zeta, params.m_int
     q0, q1 = complex(zeta * zeta), -4j * m * zeta
@@ -115,22 +114,6 @@ def chart_flow(params: SystemParams, energy: complex) -> Callable[[complex], tup
         return ((k3 * w + k2) * w + k1) * w + k0, (((q4 * w + q3) * w + q2) * w + q1) * w + q0
 
     return accel
-
-
-def chart_jerk(params: SystemParams, energy: complex) -> Callable[[complex, complex], complex]:
-    """The third derivative in the chart of :func:`chart_flow`: (w, w') -> w''' = 2 Q''(w) w',
-    with Q of :func:`chart_coefficients`.
-
-    It takes scalars or numpy arrays; the integrator's dense output evaluates
-    it at the step ends.
-    """
-    _, _, q2, q3, q4 = chart_coefficients(params, energy)
-    j0, j1, j2 = 4.0 * q2, 12.0 * q3, 24.0 * q4
-
-    def jerk(w, v):
-        return ((j2 * w + j1) * w + j0) * v
-
-    return jerk
 
 
 def potential(z: complex, params: SystemParams) -> complex:

@@ -10,37 +10,36 @@ orbit is an elliptic function of t (Whittaker & Watson, *A Course of Modern
 Analysis*, 20.6): w(t0 + h) is a rational function of w(t0), w'(t0) and the
 Weierstrass function P(h) and P'(h) on the invariants g2, g3 of f
 (:func:`chart_invariants`).  Each step is that map, :func:`chart_step`,
-exact up to rounding.  P and P' at each step length are summed once per run
-from their Laurent series (DLMF 23.9, :func:`weierstrass_p`) and cached by
-length; a series that has not converged within its term budget, at a length
-near or beyond its radius, raises NonFiniteStateError.
+exact up to rounding.  P and P' come from their Laurent series (DLMF 23.9,
+:func:`weierstrass_p`), whose coefficients a run sums once, and are cached by
+step length; a series that has not converged within its term budget, at a
+length near or beyond its radius, raises NonFiniteStateError.
 
-The step length is h = min(1/48, 0.13 / l) (rel_tol / 1e-10)^(1/8), with
+The step length is h = min(1/12, 0.52 / l) (rel_tol / 1e-10)^(1/8), with
 l = max(|g2|^(1/4), |g3|^(1/6)) the inverse length scale of the period
-lattice: h l = 0.13 is the median step of an adaptive DOP853 run at rel_tol
-1e-10 on the zeta = 0.1 orbits, the sample spacing that the polyline
-analyses rest on, and lies well inside the series' radius.  ``rel_tol``
-therefore sets the resolution of the samples, not a truncation error;
-``rel_tol`` and ``abs_tol`` together bound the projection below.  Every step
-length is h_max / 2^j, and t is h_max times the exact sum of the 2^-j, so
-the step ends carry the orbit's time to one rounding.  At |w| > 1 the loop
-changes chart, w -> 1/w and w' -> -w'/w^2.  A step that turns w by more
-than 1 rad, or scales |w| by more than e, is rejected and halved, and the
-next accepted step doubles the length back: the integer count k of turns
-about w = 0 then stays exact, and approaches to w = 0 are resolved.
+lattice: h l = 0.52, four times the median step of an adaptive DOP853 run at
+rel_tol 1e-10 on the zeta = 0.1 orbits, lies well inside the series' radius.
+The steps and the samples are exact: ``rel_tol`` sets the samples'
+resolution, not a truncation error, and with ``abs_tol`` bounds the
+projection below.  Every step length is h_max / 2^j, and t is h_max times
+the exact sum of the 2^-j, so the step ends carry the orbit's time to one
+rounding.  At |w| > 1 the loop changes chart, w -> 1/w and w' -> -w'/w^2.
+A step that turns w by more than 1 rad, or scales |w| by more than e, is
+rejected and halved, and the next accepted step doubles the length back:
+the integer count k of turns about w = 0 then stays exact, and approaches
+to w = 0 are resolved.
 
-The loop keeps only the step ends.  Every ``_BLOCK_STEPS`` accepted steps,
-and at the end of the run, numpy emits ``SAMPLES_PER_STEP`` samples per
-step, at theta = j / SAMPLES_PER_STEP of it, from the step's degree-7
-Hermite interpolant of w on w, w', w'' and w''' = 2 Q''(w) w'
-(``dynamics.chart_jerk``) at both ends (Hairer, Norsett & Wanner, *Solving
-ODEs I*, II.6).  Each sample is projected onto the shell as below and mapped
-to z = c (ln|w| + i (arg w + 2 pi k)) / 2, p = c w' / (4w) with its step's
-chart, c = +1 on the left and -1 on the right, and turn count.  With
-``stop_at_return`` the return watch reads each block as it is emitted, and
-a block also ends at any step that ends near the start: the samples end at
-the first return, and the run ends ``Termination.RETURNED`` before any
-later stop.
+The loop keeps only the step ends.  Every ``_BLOCK_STEPS`` accepted steps, and
+at the end of the run, numpy emits each step's samples by the map itself,
+:func:`chart_step` from the step's start over theta h: n = 8 ceil(4 h / h_max)
+at theta = i / n, i = 1..n, h_max / 32 apart from a step of h_max / 4 up (the
+DOP853 median step over 8, the spacing the polyline analyses rest on).  Each
+is projected onto the shell as below and mapped, with its step's chart c (+1
+on the left, -1 on the right) and turn count, to z = c (ln|w| + i (arg w +
+2 pi k)) / 2 and p = c w' / (4w).  With ``stop_at_return`` the return watch
+reads each block as it is emitted, and a block also ends at any step that ends
+near the start: the samples end at the first return, and the run ends
+``Termination.RETURNED`` before any later stop.
 
 After each step the state is projected onto the energy shell
 I = w'^2 - 4 Q(w) = 0 by one Newton step along conj(grad I) / |grad I|^2
@@ -73,7 +72,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import SystemParams, chart_coefficients, chart_flow, chart_jerk, flow, hamiltonian, potential
+from .dynamics import SystemParams, chart_coefficients, chart_flow, flow, hamiltonian, potential
 from .dynamics import potential_array
 from .errors import DomainError, NonFiniteStateError
 
@@ -87,6 +86,7 @@ __all__ = [
     "initial_momentum",
     "derivative",
     "chart_invariants",
+    "laurent_coefficients",
     "weierstrass_p",
     "step_constants",
     "chart_step",
@@ -120,9 +120,9 @@ class PhaseState:
 class IntegratorConfig:
     """Settings of one run of :func:`integrate`.
 
-    ``rel_tol`` sets the step length, as (rel_tol / 1e-10)^(1/8) times the
-    length at 1e-10, and with ``abs_tol`` the largest projection onto the
-    shell, atol + rtol times the size of w or w', beyond which it is skipped.
+    ``rel_tol`` sets the step length h_max, as (rel_tol / 1e-10)^(1/8) times the
+    length at 1e-10, so the sample spacing, and with ``abs_tol`` the largest
+    projection onto the shell that is applied, atol + rtol times the size of w or w'.
     The run ends at ``t_max``, after ``max_steps`` steps (accepted and
     rejected), at the first step whose energy error exceeds
     ``energy_drift_limit`` (``Termination.DRIFT_EXCEEDED``), or where |Re z|
@@ -156,14 +156,15 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
-    """The start and SAMPLES_PER_STEP samples per kept step, plus the conserved energy.
+    """The start and the samples of each kept step, plus the conserved energy.
 
-    Sample arrays are columnar for memory efficiency; ``state(i)``
-    provides the record view.  ``len(traj)`` is SAMPLES_PER_STEP times the
-    kept steps, plus 1: a run that ends by drift keeps every accepted step
-    but the last, and one that ends RETURNED keeps its samples up to the
-    return.  ``n_accepted`` counts the accepted steps the loop took.
-    ``drift[i]`` is the energy error of the step that sample i belongs to:
+    Sample arrays are columnar for memory efficiency; ``state(i)`` provides
+    the record view.  A kept step of length h has MIN_SAMPLES_PER_STEP
+    ceil(4 h / h_max) samples, SAMPLES_PER_STEP if full, and ``len(traj)`` is
+    1 plus their sum: a run that ends by drift keeps every accepted step but
+    the last, and one that ends RETURNED keeps its samples up to the return.
+    ``n_accepted`` counts the accepted steps the loop took.  ``drift[i]`` is
+    the energy error of the step that sample i belongs to:
     |H - E| / max(1, |E|) of the step's end before the projection onto the
     shell, bounded by the integration config's ``energy_drift_limit`` for
     every retained sample (0 at the start).  ``drift_floor_rss`` is the
@@ -322,43 +323,56 @@ def chart_invariants(q) -> tuple[complex, complex]:
     return g2, g3
 
 
-def weierstrass_p(u: float, g2: complex, g3: complex) -> tuple[complex, complex]:
-    """(P(u), P'(u)) of the Weierstrass function on the invariants g2, g3, from its
-    Laurent series at 0 (DLMF 23.9): P(u) = 1/u^2 + sum_{k>=2} c_k u^{2k-2}, with
-    c2 = g2/20, c3 = g3/28 and c_k = 3/((2k+1)(k-3)) sum_{m=2}^{k-2} c_m c_{k-m}.
+def laurent_coefficients(g2: complex, g3: complex) -> list[complex]:
+    """The coefficients c_k of the Laurent series of P at 0 on the invariants g2, g3
+    (DLMF 23.9), as the list [0, 0, c2 = g2/20, c3 = g3/28] indexed by k, to which
+    :func:`weierstrass_p` appends c_k = 3/((2k+1)(k-3)) sum_{m=2}^{k-2} c_m c_{k-m}
+    as far as its arguments need: one list per run sums each c_k once."""
+    return [0j, 0j, g2 / 20.0, g3 / 28.0]
 
-    The sums end once three terms in a row of each lie below half an ulp of its
-    total.  A series that has not ended within ``_SERIES_TERMS`` terms, as at a u
-    near or beyond its radius (the nearest nonzero lattice point), raises
-    NonFiniteStateError.
-    """
-    uu = u * u
-    p, d = 1.0 / uu, -2.0 / (uu * u)
-    c = [0j, 0j, g2 / 20.0, g3 / 28.0]
-    power = uu  # u^{2k-2}
-    small = 0
+
+def weierstrass_p(u, c: list[complex]):
+    """(P(u), P'(u)) of the Weierstrass function, for u a float or a numpy array of floats,
+    from its Laurent series at 0 on the coefficients ``c`` of :func:`laurent_coefficients`:
+    P(u) = 1/u^2 + sum_{k>=2} c_k u^{2k-2}.  The sums end once three terms in a row of each
+    lie below half an ulp of its total, at the largest u, where the series converges
+    slowest; an array is then summed to the same term.  A series that has not ended
+    within ``_SERIES_TERMS`` terms, as at a u near or beyond its radius (the nearest
+    nonzero lattice point), raises NonFiniteStateError."""
+    array = isinstance(u, np.ndarray)
+    x = float(u.max()) if array else u
+    xx = x * x
+    p, d = 1.0 / xx, -2.0 / (xx * x)
+    power, small = xx, 0  # x^{2k-2}, and the small terms in a row
     for k in range(2, _SERIES_TERMS + 2):
-        if k > 3:
+        if k == len(c):
             c.append(3.0 / ((2 * k + 1) * (k - 3)) * sum(c[m] * c[k - m] for m in range(2, k - 1)))
         term = c[k] * power
-        dterm = (2 * k - 2) * term / u
-        p += term
-        d += dterm
+        dterm = (2 * k - 2) * term / x
+        p, d = p + term, d + dterm
         small = small + 1 if abs(term) <= 0.5 * _EPS * abs(p) and abs(dterm) <= 0.5 * _EPS * abs(d) else 0
         if small == 3:
-            return p, d
-        power *= uu
-    raise NonFiniteStateError(
-        f"the Laurent series of the Weierstrass function did not converge within {_SERIES_TERMS} terms "
-        f"at u={u!r} (g2={g2!r}, g3={g3!r}): u lies near or beyond its radius"
-    )
+            break
+        power *= xx
+    else:
+        raise NonFiniteStateError(
+            f"the Laurent series of the Weierstrass function did not converge within {_SERIES_TERMS} terms "
+            f"at u={x!r} (g2={20.0 * c[2]!r}, g3={28.0 * c[3]!r}): u lies near or beyond its radius"
+        )
+    if not array:
+        return p, d
+    uu = u * u
+    ck, powers = np.array(c[2 : k + 1]), uu[:, None] ** np.arange(k - 1)  # uu^0 .. uu^(k-2)
+    return 1.0 / uu + uu * (powers @ ck), u * (powers @ (np.arange(2, 2 * k - 1, 2) * ck)) - 2.0 / (uu * u)
 
 
-def step_constants(u: float, g2: complex, g3: complex) -> tuple[complex, complex, complex, complex]:
-    """What :func:`chart_step` takes of a step length u: P, P' (:func:`weierstrass_p`),
-    P'' = 6 P^2 - g2/2 and K = 2 P^3 - 3/2 g2 P - 2 g3, which is 2 P'^2 - P P'' on the
-    curve P'^2 = 4 P^3 - g2 P - g3."""
-    p, dp = weierstrass_p(u, g2, g3)
+def step_constants(u, c: list[complex]):
+    """What :func:`chart_step` takes of a step length u, a float or an array: P, P'
+    (:func:`weierstrass_p` on the coefficients ``c``), P'' = 6 P^2 - g2/2 and
+    K = 2 P^3 - 3/2 g2 P - 2 g3, which is 2 P'^2 - P P'' on the curve
+    P'^2 = 4 P^3 - g2 P - g3, with g2 = 20 c2 and g3 = 28 c3."""
+    p, dp = weierstrass_p(u, c)
+    g2, g3 = 20.0 * c[2], 28.0 * c[3]
     return p, dp, 6.0 * p * p - 0.5 * g2, (2.0 * p * p - 1.5 * g2) * p - 2.0 * g3
 
 
@@ -390,10 +404,10 @@ def chart_step(q, w: complex, v: complex, a: complex, qw: complex, pk: tuple[com
     return wn, vn, an, qn
 
 
-# the step length at rel_tol 1e-10: h l = 0.13, with l = max(|g2|^(1/4), |g3|^(1/6)) the
-# lattice's inverse length scale, but at most 1/48; it scales as rel_tol^(1/8)
-_H_LATTICE = 0.13
-_H_MAX = 1.0 / 48.0
+# the step length at rel_tol 1e-10: h l = 0.52, with l = max(|g2|^(1/4), |g3|^(1/6)) the
+# lattice's inverse length scale, but at most 1/12; it scales as rel_tol^(1/8)
+_H_LATTICE = 0.52
+_H_MAX = 1.0 / 12.0
 # largest change of ln w, real or imaginary, in one accepted step
 _MAX_DLOG = 1.0
 _MAX_RATIO = math.exp(_MAX_DLOG)
@@ -401,59 +415,54 @@ _MAX_RATIO = math.exp(_MAX_DLOG)
 _TWO_PI = 2.0 * math.pi
 _TWO_PI_LO = 2.4492935982947064e-16
 
-# samples emitted per accepted step, at theta = j / SAMPLES_PER_STEP of the step
-SAMPLES_PER_STEP = 8
-# accepted steps emitted at a time, at most
-_BLOCK_STEPS = 256
+# a step of length h emits n = MIN_SAMPLES_PER_STEP ceil(4 h / h_max) samples, at theta = i / n of it:
+# SAMPLES_PER_STEP, h_max / SAMPLES_PER_STEP apart, on a full step; MIN_SAMPLES_PER_STEP from h_max / 4 down
+SAMPLES_PER_STEP = 32
+MIN_SAMPLES_PER_STEP = 8
+_BLOCK_STEPS = 64  # accepted steps emitted at a time, at most: up to 2048 samples
+_MERGE_BLOCKS = 16  # emitted blocks merged at a time
+_THETA = {n: np.arange(1, n + 1) / n for n in range(MIN_SAMPLES_PER_STEP, SAMPLES_PER_STEP + 1, MIN_SAMPLES_PER_STEP)}
 
 
-def _hermite(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The degree-7 two-point Hermite interpolant on [0, 1] and its derivative at
-    ``theta``, as matrices that take the end data (f, f', f'', f''' at 0, then at 1,
-    each derivative of order r scaled by h^r) to the values at each theta.
+class _SampleConstants:
+    """Theta and the :func:`step_constants` at theta h of the samples of each step length h
+    of a run, as the rows of one array; the lengths new to a block take one array call."""
 
-    The basis polynomial of the r-th derivative at 0 is x^r / r! (1 - x)^4 S_r(x),
-    with S_r(x) = sum_{j <= 3 - r} C(3 + j, j) x^j; at 1 it is (-1)^r times the
-    same in x = 1 - theta."""
-    w, v = [], []
-    for side, x in ((1.0, theta), (-1.0, 1.0 - theta)):
-        for r in range(4):
-            c = [math.comb(3 + j, j) / math.factorial(r) for j in range(4 - r)]
-            s = sum(cj * x ** (r + j) for j, cj in enumerate(c))  # x^r / r! S_r(x)
-            ds = sum((r + j) * cj * x ** (r + j - 1) for j, cj in enumerate(c) if r + j)
-            sign = side**r
-            w.append(sign * s * (1.0 - x) ** 4)
-            v.append(side * sign * (ds * (1.0 - x) - 4.0 * s) * (1.0 - x) ** 3)
-    return np.array(w), np.array(v)
+    def __init__(self, c: list[complex], h_max: float) -> None:
+        self.c, self.h_max, self.rows = c, h_max, np.empty((5, 0), complex)
+        self.index: dict[float, np.ndarray] = {}  # step length -> its samples' columns
+
+    def gather(self, h: list[float]) -> tuple[list[int], np.ndarray]:
+        """The samples per step of the lengths ``h``, and the rows of each sample."""
+        new = [x for x in dict.fromkeys(h) if x not in self.index]
+        if new:
+            # the last step's length may exceed its scale by a rounding
+            counts = [min(SAMPLES_PER_STEP, MIN_SAMPLES_PER_STEP * math.ceil(4.0 * x / self.h_max)) for x in new]
+            theta = np.concatenate([_THETA[n] for n in counts])
+            columns = np.arange(self.rows.shape[1], self.rows.shape[1] + len(theta))
+            for x, n in zip(new, counts):
+                self.index[x], columns = columns[:n], columns[n:]
+            pk = step_constants(theta * np.repeat(new, counts), self.c)
+            self.rows = np.concatenate([self.rows, [theta, *pk]], axis=1)
+        columns = [self.index[x] for x in h]
+        return [len(x) for x in columns], self.rows[:, np.concatenate(columns)]
 
 
-_THETA = np.arange(1, SAMPLES_PER_STEP + 1) / SAMPLES_PER_STEP
-_HERMITE_W, _HERMITE_V = _hermite(_THETA)
+def _emit(steps: list, q, table: _SampleConstants, atol: float, rtol: float) -> tuple[np.ndarray, ...]:
+    """The samples of a block of accepted steps.
 
-
-def _emit(steps: list, accel, jerk, atol: float, rtol: float) -> tuple[np.ndarray, ...]:
-    """The samples of a block of accepted steps, SAMPLES_PER_STEP per step.
-
-    Each row of ``steps`` is (t, h, c, k, w0, w0', w0'', w, w', w'', drift) of one
-    step: its end time, length, chart and turn count at the end, and its ends in
-    its own chart.  A sample is the step's degree-7 Hermite interpolant of w, with
-    w''' = 2 Q''(w) w' at both ends, and the interpolant's derivative for w'; it is
-    projected onto the shell by the loop's Newton step and mapped to (z, p) with
-    the step's chart and turns.  Returns t, z, p, drift and the floor of each sample.
+    Each row of ``steps`` is (t, h, c, k, w0, w0', w0'', Q(w0), w, drift) of one step: its
+    end time, length, chart and turn count at the end, its start in its own chart and the
+    end's w.  A sample is :func:`chart_step` from the start over theta h, projected onto
+    the shell by the loop's Newton step and mapped to (z, p) with the step's chart and
+    turns.  Returns t, z, p, drift and the floor of each sample.
     """
-    s = np.array(steps, dtype=complex)
-    t1, h, c, k, drift = (s[:, i].real[:, None] for i in (0, 1, 2, 3, 10))
-    w0, v0, a0, w1, v1, a1 = s[:, 4:10].T
-    h1 = h[:, 0]
-    hh = h1 * h1
-    # the third derivatives at both ends, times h^3
-    j0, j1 = (jerk(s[:, 4:8:3], s[:, 5:9:3]) * (hh * h1)[:, None]).T
-    ends = np.stack([w0, h1 * v0, hh * a0, j0, w1, h1 * v1, hh * a1, j1], 1)
-    w = np.einsum("nd,ds->ns", ends, _HERMITE_W)
-    v = np.einsum("nd,ds->ns", ends, _HERMITE_V) / h
-    a, q = accel(w)
+    s = np.array(steps, dtype=complex).T
+    n, (theta, *pk) = table.gather([row[1] for row in steps])
+    w, v, a, qw = chart_step(q, *np.repeat(s[4:8], n, axis=1), pk)
+    t1, h, c, k, drift, ph1 = np.repeat(np.concatenate([s[[0, 1, 2, 3, 9]].real, np.angle(s[8:9])]), n, axis=1)
     # the loop's projection onto I = w'^2 - 4 Q(w) = 0, skipped where it exceeds the tolerance
-    res = v * v - 4.0 * q
+    res = v * v - 4.0 * qw
     gg = np.abs(a) ** 2 + np.abs(v) ** 2
     f = np.divide(0.5 * res, gg, out=np.zeros_like(res), where=gg > 0.0)
     f[(np.abs(f * a) > atol + rtol * np.abs(w)) | (np.abs(f * v) > atol + rtol * np.abs(v))] = 0.0
@@ -461,13 +470,12 @@ def _emit(steps: list, accel, jerk, atol: float, rtol: float) -> tuple[np.ndarra
     v = v - f * v.conj()
     aw = np.abs(w)
     ph = np.angle(w)
-    k = k + np.round((np.angle(w1)[:, None] - ph) / _TWO_PI)  # arg w within 1 rad of the step end's
+    k += np.round((ph1 - ph) / _TWO_PI)  # arg w within 1 rad of the step end's
     z = 0.5 * c * (np.log(aw) + 1j * (ph + k * _TWO_PI + k * _TWO_PI_LO))
     p = 0.25 * c * v / w
     # |dV/dz| = |dp/dt| = |w'' w - w'^2| / (4 |w|^2) and |p| = |w'| / (4 |w|)
     floor = (np.abs(a * w - v * v) * np.abs(z) + 0.5 * np.abs(v) ** 2) / (4.0 * aw * aw)
-    t = t1 - (1.0 - _THETA) * h
-    return tuple(x.ravel() for x in np.broadcast_arrays(t, z, p, drift, floor))
+    return t1 - (1.0 - theta.real) * h, z, p, drift.copy(), floor  # a copy: the repeated steps are not kept
 
 
 def integrate(
@@ -488,7 +496,6 @@ def integrate(
     q = chart_coefficients(params, e0)
     g2, g3 = chart_invariants(q)
     accel = chart_flow(params, e0)
-    jerk = chart_jerk(params, e0)
     e_scale = max(1.0, abs(e0))
     rtol, atol, t_max, max_steps = config.rel_tol, config.abs_tol, config.t_max, config.max_steps
     drift_limit, escape_y_span = config.energy_drift_limit, config.escape_y_span
@@ -498,23 +505,32 @@ def integrate(
     ell = max(abs(g2) ** 0.25, abs(g3) ** (1.0 / 6.0))
     h_max = (min(_H_MAX, _H_LATTICE / ell) if ell else _H_MAX) * (rtol / 1e-10) ** 0.125
     constants: dict[float, tuple] = {}  # step_constants by step length
+    table = _SampleConstants(laurent_coefficients(g2, g3), h_max)  # table.c: the run's Laurent coefficients
 
     t, z, p = 0.0, complex(z0), complex(p0)
     watch = ReturnWatch(t, z, p, params) if config.stop_at_return else None
     # with the watch: whether the orbit has been away, whether the last step may
     # hold the return, and its end's distance from the start
     away, near, d = False, False, 0.0
-    chunks = [(np.array([t]), np.array([z]), np.array([p]), np.zeros(1), np.zeros(1))]
+    chunks = [(np.array([t]), np.array([z]), np.array([p]), np.zeros(1))]
+    floor_sq = 0.0  # the sum of the kept samples' squared floors
     steps: list[tuple] = []  # accepted steps not yet emitted
+    blocks: list[tuple] = []  # emitted samples not yet merged into ``chunks``
 
     def flush() -> bool:
         """Emit ``steps``; True if the watch finds the return, where the samples then end."""
+        nonlocal floor_sq
         if not steps:
             return False
-        block = _emit(steps, accel, jerk, atol, rtol)
+        *block, floor = _emit(steps, q, table, atol, rtol)
         steps.clear()
         hit = None if watch is None else watch.feed(*block[:3])
-        chunks.append(block if hit is None else tuple(x[: hit[0] + 1] for x in block))
+        end = None if hit is None else hit[0] + 1
+        blocks.append(tuple(x[:end] for x in block))
+        floor_sq += float(np.dot(floor[:end], floor[:end]))
+        if len(blocks) == _MERGE_BLOCKS:  # small kept arrays among freed temporaries would fragment the heap
+            chunks.append(tuple(np.concatenate(x) for x in zip(*blocks)))
+            blocks.clear()
         return hit is not None
 
     # the chart: c = +1 for w = e^{2z}, -1 for w = e^{-2z}; k counts the turns of w
@@ -540,7 +556,7 @@ def integrate(
 
         pk = constants.get(h)
         if pk is None:
-            pk = constants[h] = step_constants(h, g2, g3)
+            pk = constants[h] = step_constants(h, table.c)
         wn, vn, an, qn = chart_step(q, w, v, a, qw, pk)
         awn, avn = abs(wn), abs(vn)
         if not (0.0 < awn < inf and avn < inf):
@@ -571,7 +587,7 @@ def integrate(
         k += round((ph - ph_new) / _TWO_PI)  # arg w moved by at most 1 < pi
         ph = ph_new
         if drift <= drift_limit:
-            steps.append((t, h, c, k, w, v, a, wn, vn, an, drift))
+            steps.append((t, h, c, k, w, v, a, qw, wn, drift))
         w, v, a, qw = wn, vn, an, qn
         y = 0.5 * c * (ph + k * _TWO_PI + k * _TWO_PI_LO)  # Im z
         if watch is not None:
@@ -612,7 +628,7 @@ def integrate(
 
     if flush():  # a return among the last samples ends the run there, before any later stop
         termination = Termination.RETURNED
-    t, z, p, drift, floor = (np.concatenate(x) for x in zip(*chunks))
+    t, z, p, drift = (np.concatenate(x) for x in zip(*chunks, *blocks))
     return Trajectory(
         params=params,
         energy=e0,
@@ -624,5 +640,5 @@ def integrate(
         n_accepted=n_acc,
         n_rejected=n_rej,
         config=config,
-        drift_floor_rss=_EPS * math.sqrt(float(np.dot(floor, floor))) / e_scale,
+        drift_floor_rss=_EPS * math.sqrt(floor_sq) / e_scale,
     )

@@ -336,8 +336,8 @@ def test_criterion_5_energy_conservation(full_sweep, map_runs, boundary_results,
     # function that computes them
     exact_p = integrator.weierstrass_p
 
-    def perturbed_p(u, g2, g3):
-        return tuple(x * (1.0 + 1e-5) for x in exact_p(u, g2, g3))
+    def perturbed_p(u, c):
+        return tuple(x * (1.0 + 1e-5) for x in exact_p(u, c))
 
     with monkeypatch.context() as patch:
         patch.setattr(integrator, "weierstrass_p", perturbed_p)

@@ -14,7 +14,7 @@ from ptwells import (
     potential_gradient,
     real_axis_hermitian_potential,
 )
-from ptwells.dynamics import chart_flow, chart_jerk, flow
+from ptwells.dynamics import chart_flow, flow
 
 P = SystemParams(0.1, 3)
 
@@ -134,41 +134,26 @@ class TestChartFlow:
             assert abs(d2s - expected) <= 1e-11 * scale
             assert abs(q - 4 * s * s * p * p) <= 1e-11 * abs(s) * scale
 
-    def test_jerk_is_the_time_derivative_of_the_acceleration(self, rng):
-        # the third derivative is (d w''/dw) w': a central difference of the kernel's w''
-        for _ in range(50):
-            energy = complex(*rng.uniform(-4, 4, 2))
-            accel, jerk = chart_flow(P, energy), chart_jerk(P, energy)
-            w = complex(*rng.uniform(-2, 2, 2))
-            v = complex(*rng.uniform(-5, 5, 2))
-            d = 1e-5
-            expected = (accel(w + d)[0] - accel(w - d)[0]) / (2 * d) * v
-            assert abs(jerk(w, v) - expected) <= 1e-7 * abs(expected)
-
 
 class TestChartCoefficients:
     @pytest.mark.parametrize("params", [P, SystemParams(1.0, 5)])
     def test_kernels_match_the_factored_forms(self, params, rng):
-        # 2Q', Q and 2Q'' w' from the coefficients against the hand-factored forms
+        # 2Q' and Q from the coefficients against the hand-factored forms
         # of Q = 4E w^2 + b^2, b = zeta w^2 - 2iM w + zeta, each to 1e-14 of the
         # sum of the absolute values of its terms
         zeta, i_m = params.zeta, 1j * params.m_int
         for _ in range(200):
             energy = complex(*rng.uniform(-10, 10, 2))
             w = cmath.rect(rng.uniform(0, 1), rng.uniform(-math.pi, math.pi))
-            v = complex(*rng.uniform(-5, 5, 2))
             b = (zeta * w - 2 * i_m) * w + zeta
             u = zeta * w - i_m
             accel = 16 * energy * w + 8 * b * u
             q = 4 * energy * w * w + b * b
-            jerk = (16 * energy + 16 * u * u + 8 * zeta * b) * v
             r, e = abs(w), abs(energy)
             big_b, big_u = zeta * r * r + 2 * params.m_int * r + zeta, zeta * r + params.m_int
             got_accel, got_q = chart_flow(params, energy)(w)
             assert abs(got_accel - accel) <= 1e-14 * (16 * e * r + 8 * big_b * big_u)
             assert abs(got_q - q) <= 1e-14 * (4 * e * r * r + big_b * big_b)
-            got_jerk = chart_jerk(params, energy)(w, v)
-            assert abs(got_jerk - jerk) <= 1e-14 * (16 * e + 16 * big_u * big_u + 8 * zeta * big_b) * abs(v)
 
 
 class TestRealAxisPotential:

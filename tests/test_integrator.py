@@ -26,8 +26,8 @@ from ptwells import (
 )
 from ptwells import integrator
 from ptwells.cli import run_preset
-from ptwells.dynamics import chart_flow
-from ptwells.integrator import SAMPLES_PER_STEP
+from ptwells.dynamics import chart_coefficients, chart_flow
+from ptwells.integrator import MIN_SAMPLES_PER_STEP
 
 P = SystemParams(0.1, 3)
 
@@ -121,26 +121,30 @@ class TestIntegrate:
         assert np.abs(dz.real).max() <= 0.5
         assert len(detect_axis_crossings(fig_tunneling)) >= 3  # both charts are used
 
-    @pytest.mark.parametrize("fixture,steps", [("fig_closed", 2_043), ("fig_tunneling", 7_252)])
-    def test_step_count_is_pinned(self, fixture, steps, request):
-        # the accepted steps, up to rounding; a change of the step length or of
-        # the turn rule moves them
+    @pytest.mark.parametrize("fixture,steps,samples", [("fig_closed", 876, 16_353), ("fig_tunneling", 2_174, 58_017)])
+    def test_step_count_is_pinned(self, fixture, steps, samples, request):
+        # the accepted steps and the samples, up to rounding; a change of the step
+        # length, of the turn rule or of the sample-count rule moves them.  Every step
+        # emits a multiple of MIN_SAMPLES_PER_STEP samples, at least that many
         traj = request.getfixturevalue(fixture)
         assert abs(traj.n_accepted - steps) <= 0.005 * steps
-        assert len(traj) == SAMPLES_PER_STEP * traj.n_accepted + 1
+        assert abs(len(traj) - samples) <= 0.005 * samples
+        assert (len(traj) - 1) % MIN_SAMPLES_PER_STEP == 0
+        assert len(traj) - 1 >= MIN_SAMPLES_PER_STEP * traj.n_accepted
 
     def test_interior_samples_are_as_accurate_as_step_ends(self):
-        # samples between step ends come from each step's degree-7 Hermite
-        # interpolant of w; each is checked against a rel_tol-1e-13 run that
-        # ends at its time.  Over the closed figure to t = 10, at every 7th
-        # sample, the interior samples are off by up to 2.4e-11 in z and
-        # 5.5e-10 in p, the interpolant's error; the step ends, exact up to
-        # rounding, by 9.2e-13 and 5.0e-11 (p is large on the whips)
+        # samples between step ends come from each step's exact flow map over
+        # theta h; each is checked against a rel_tol-1e-13 run that ends at its
+        # time.  Over the closed figure to t = 10, at every 97th sample, those off
+        # the multiples of MIN_SAMPLES_PER_STEP (where every step end lies) are off
+        # by up to 1.5e-13 in z and 9.5e-12 in p (p is large on the whips), and the
+        # others by 5.8e-14 and 9.3e-13; a degree-7 Hermite interpolant left
+        # 2.7e-11 and 6.9e-10
         c = well_center(WellIndex(Side.LEFT, 0), P)
         z0 = complex(c.real, c.imag + 0.4740)
         p0 = initial_momentum(z0, 0.8 + 0j, MomentumBranch.PRINCIPAL, P)
         traj = integrate(z0, p0, IntegratorConfig(t_max=10.0), P)
-        for i in (i for i in range(1, len(traj), 97) if i % SAMPLES_PER_STEP):
+        for i in (i for i in range(1, len(traj), 97) if i % MIN_SAMPLES_PER_STEP):
             ref = integrate(z0, p0, IntegratorConfig(t_max=float(traj.t[i]), rel_tol=1e-13, abs_tol=1e-15), P)
             assert abs(traj.z[i] - ref.z[-1]) <= 1e-9
             assert abs(traj.p[i] - ref.p[-1]) <= 5e-8
@@ -168,20 +172,21 @@ class TestIntegrate:
         # a step that both exceeds the drift limit and leaves the cell is discarded,
         # and the escape test comes first, so the run ends escaped, not drift_exceeded.
         # 0.58 above left well 0 on the bounded preset, the step that leaves the cell
-        # (23) has 6.6x the largest drift of the steps before it (6.6-7.0x above each
-        # left well -3..3), so a limit just below its drift discards it alone
+        # (8) has 4.0x the largest drift of the steps before it, so a limit just below
+        # its drift discards it alone
         c = well_center(WellIndex(Side.LEFT, 0), P)
         z0 = complex(c.real, c.imag + 0.58)
         p0 = initial_momentum(z0, 0.8 + 0j, MomentumBranch.PRINCIPAL, P)
         lifted = integrate(z0, p0, replace(run_preset(0.8 + 0j), energy_drift_limit=1.0), P)  # the same steps
         assert lifted.termination is Termination.ESCAPED
         n = lifted.n_accepted
-        step_drift = lifted.drift[SAMPLES_PER_STEP::SAMPLES_PER_STEP]  # one per step
-        cfg = replace(lifted.config, energy_drift_limit=0.9 * step_drift[-1])
-        assert step_drift[:-1].max() < cfg.energy_drift_limit
+        # the samples of the start and the n - 1 steps before the last, whose samples all carry its drift
+        kept = int(np.flatnonzero(lifted.drift != lifted.drift[-1])[-1]) + 1
+        cfg = replace(lifted.config, energy_drift_limit=0.9 * lifted.drift[-1])
+        assert lifted.drift[:kept].max() < cfg.energy_drift_limit
         traj = integrate(z0, p0, cfg, P)
         assert traj.termination is Termination.ESCAPED
-        assert traj.n_accepted == n and len(traj) == SAMPLES_PER_STEP * (n - 1) + 1  # the start and n - 1 kept steps
+        assert traj.n_accepted == n and len(traj) == kept and np.array_equal(traj.t, lifted.t[:kept])
         assert abs(traj.z[-1].imag - z0.imag) < cfg.escape_y_span  # the last kept sample is inside the cell
         assert traj.max_drift <= cfg.energy_drift_limit
         assert classify_orbit(traj).kind is OrbitKind.OPEN_ESCAPE
@@ -199,8 +204,7 @@ class TestIntegrate:
             kernel = chart_flow(params, energy)
 
             def counted(w):
-                if not isinstance(w, np.ndarray):  # the emission's array calls are not counted
-                    calls.append(w)
+                calls.append(w)
                 return kernel(w)
 
             return counted
@@ -209,9 +213,11 @@ class TestIntegrate:
         p0 = initial_momentum(0j, 1 + 1j, MomentumBranch.PRINCIPAL, P)
         traj = integrate(0j, p0, IntegratorConfig(t_max=80.0), P)
         assert traj.termination is Termination.TIME_LIMIT
-        # the side of Re z = 0 at the start and at each step end but the last, which
-        # ends the run without a chart change
-        right = traj.z.real[:-1:SAMPLES_PER_STEP] > 0.0
+        # the side of Re z = 0 at the start and at every MIN_SAMPLES_PER_STEP-th sample
+        # but the last, among them every step end but the last, which ends the run
+        # without a chart change: a crossing changes the chart at the end of its step,
+        # and on this orbit no two crossings share a step, nor does one lie in the last
+        right = traj.z.real[:-1:MIN_SAMPLES_PER_STEP] > 0.0
         changes = int(np.count_nonzero(np.diff(right)))
         assert changes >= 4
         assert len(calls) == 1 + changes
@@ -266,12 +272,18 @@ def _closed_form(mp, z0: complex, p0: complex, params: SystemParams):
     c = [0, 0, g2 / 20, g3 / 28]
     for k in range(4, 18):
         c.append(mp.mpf(3) / ((2 * k + 1) * (k - 3)) * sum(c[j] * c[k - j] for j in range(2, k - 1)))
+    dc = [(2 * k - 2) * ck for k, ck in enumerate(c)]
 
     def w(t: float):
         n = max(0, math.ceil(math.log2(t / 1e-2)))
         u = mp.mpf(t) / 2**n
-        p = 1 / u**2 + sum(c[k] * u ** (2 * k - 2) for k in range(2, 18))
-        d = -2 / u**3 + sum((2 * k - 2) * c[k] * u ** (2 * k - 3) for k in range(2, 18))
+        uu = u * u
+        sp = sd = 0
+        for k in range(17, 1, -1):  # the series in Horner form
+            sp = sp * uu + c[k]
+            sd = sd * uu + dc[k]
+        p = 1 / uu + uu * sp
+        d = u * sd - 2 / (uu * u)
         for _ in range(n):
             lam = (6 * p * p - g2 / 2) / d
             x3 = lam * lam / 4 - 2 * p
@@ -287,9 +299,9 @@ class TestChartStep:
         "energy,offset", [(1 + 1j, None), (1 + 3.2j, None), (0.8 + 0j, 0.474)], ids=["1+1i", "1+3.2i", "0.8-closed"]
     )
     def test_matches_the_closed_form(self, energy, offset):
-        # every step end up to t = 10 against the orbit's closed form at 40 digits, from the
-        # run's own start: the steps are exact up to rounding (worst 4.1e-14, 4.1e-14 and
-        # 3.2e-13 here)
+        # every sample up to t = 10 against the orbit's closed form at 40 digits, from the
+        # run's own start: the step ends and the samples between them are exact up to
+        # rounding (worst 3.6e-14, 4.4e-14 and 2.9e-13 here)
         mp = pytest.importorskip("mpmath")
         if offset is None:
             z0 = 0j
@@ -304,7 +316,7 @@ class TestChartStep:
             ph = math.atan2(math.sin(2.0 * z0.imag), math.cos(2.0 * z0.imag))
             k = round((2.0 * z0.imag - ph) / (2.0 * math.pi))  # the turns of w = e^{2z} about 0
             worst = 0.0
-            for t, z in zip(traj.t[SAMPLES_PER_STEP::SAMPLES_PER_STEP], traj.z[SAMPLES_PER_STEP::SAMPLES_PER_STEP]):
+            for t, z in zip(traj.t[1:], traj.z[1:]):
                 wt = w(float(t))
                 ph_new = float(mp.arg(wt))
                 turn = round((ph_new - ph) / (2.0 * math.pi))
@@ -316,8 +328,21 @@ class TestChartStep:
         assert traj.t[-1] == 10.0
         assert worst <= 1e-12
 
+    @pytest.mark.parametrize("energy", [0.8 + 0j, 1 + 1j, 1 + 6.7j])
+    def test_series_on_an_array_matches_the_scalar_series(self, energy):
+        # the emission sums P and P' on arrays of sample offsets, the loop on one step
+        # length: both from the same coefficients, to a few ulp (at most 6.5e-16 here)
+        q = chart_coefficients(P, energy)
+        c = integrator.laurent_coefficients(*integrator.chart_invariants(q))
+        u = np.arange(1, 33) / 32 / 12.0
+        p, dp = integrator.weierstrass_p(u, c)
+        for x, px, dpx in zip(u.tolist(), p, dp):
+            p1, dp1 = integrator.weierstrass_p(x, c)
+            assert abs(px - p1) <= 2e-15 * abs(p1)
+            assert abs(dpx - dp1) <= 2e-15 * abs(dp1)
+
     def test_step_beyond_the_series_radius_raises(self):
-        # at rel_tol 100 the step length is 0.66, beyond this orbit's period
+        # at rel_tol 100 the step length is 2.64, beyond this orbit's period
         # omega_A = 0.548, a point of the lattice: the Laurent series of the
         # Weierstrass function diverges there, and the run raises, not returning an orbit
         c = well_center(WellIndex(Side.LEFT, 0), P)
