@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +29,6 @@ from .integrator import (
     IntegratorConfig,
     MomentumBranch,
     PhaseState,
-    ReturnWatch,
     Termination,
     Trajectory,
     chart_invariants,
@@ -37,6 +36,7 @@ from .integrator import (
     initial_momentum,
     integrate,
     laurent_coefficients,
+    real_period,
     step_constants,
 )
 from .wells import Side, WellIndex, nearest_well, nearest_wells, well_center, well_x
@@ -72,15 +72,13 @@ _LEAF_NEWTON = 16
 # period.  A closed orbit at real energy stays within 1.31 of its start's Im z.
 CELL_EXIT_SPAN = 0.5 * math.pi
 
-# Boundary-probe preset: see closed_orbit_boundary for the two stops, at
-# the first return and at the exit from the start's cell.
-PROBE_CONFIG = IntegratorConfig(
-    t_max=15.0,
-    escape_radius=25.0,
-    escape_y_span=CELL_EXIT_SPAN,
-    energy_drift_limit=0.05,
-    stop_at_return=True,
-)
+# Boundary-probe preset: closed_orbit_boundary runs it to one real period,
+# and an open probe ends at the exit from its start's cell.
+PROBE_CONFIG = IntegratorConfig(escape_radius=25.0, escape_y_span=CELL_EXIT_SPAN, energy_drift_limit=0.05)
+
+# Distance in (z, p), as a 4-real-vector, within which a real-energy run is back at its start
+# after one real period: a closed orbit to rounding (9.2e-15 on the closed figure), an open one i pi off.
+RETURN_TOL = 1e-8
 
 
 class CrossingDirection(enum.Enum):
@@ -311,31 +309,51 @@ def tunnel_well_pair(traj: Trajectory) -> tuple[WellIndex, WellIndex]:
     return _vote_wells(traj)
 
 
-def _recurrence(traj: Trajectory) -> float | None:
-    """First return time to within ``ReturnWatch.TOL`` of the start.
+def _return_miss(traj: Trajectory, z, p):
+    """The distance of the states (z, p), scalars or arrays, from the run's start, in
+    (z, p) as a 4-real-vector."""
+    return np.hypot(np.abs(z - traj.z[0]), np.abs(p - traj.p[0]))
 
-    The return is the one ``ReturnWatch`` finds, at the closest approach of
-    the cubic between two samples.  Returns the period, 0.0 for a trajectory
-    that never leaves the ball about its start, or None when there is no
-    recurrence.
+
+def _closed_period(traj: Trajectory) -> float | None:
+    """The period of a closed orbit, or None if the run shows none.
+
+    0.0 for a run that never leaves the ball of radius ``RETURN_TOL`` about its
+    start (an equilibrium).  Otherwise the real period omega_R of the run's
+    lattice (``integrator.real_period``), if the state at t = omega_R, one exact
+    step from the last sample at or before it, lies within ``RETURN_TOL`` of the
+    start.  A run shorter than omega_R, or on a lattice with no finite real
+    period, shows none.
     """
-    watch = ReturnWatch(float(traj.t[0]), complex(traj.z[0]), complex(traj.p[0]), traj.params)
-    hit = watch.feed(traj.t[1:], traj.z[1:], traj.p[1:])
-    if hit is not None:
-        return hit[1]
-    return None if watch.left else 0.0
+    if np.all(_return_miss(traj, traj.z, traj.p) <= RETURN_TOL):
+        return 0.0
+    try:
+        period = real_period(*chart_invariants(chart_coefficients(traj.params, traj.energy)))
+    except DomainError:
+        return None
+    if traj.t[-1] < period:
+        return None
+    i = int(np.searchsorted(traj.t, period, side="right")) - 1
+    z, p, h = complex(traj.z[i]), complex(traj.p[i]), period - float(traj.t[i])
+    if h > 0.0:
+        end = integrate(z, p, replace(traj.config, t_max=h), traj.params)
+        if end.termination is not Termination.TIME_LIMIT:
+            return None
+        z, p = complex(end.z[-1]), complex(end.p[-1])
+    return period if _return_miss(traj, z, p) <= RETURN_TOL else None
 
 
 def classify_orbit(traj: Trajectory, crossings: Sequence[CrossingEvent] | None = None) -> OrbitClass:
     """Closed, open-escape, or tunneling; anything else raises.
 
-    Closed: the phase point returns within ``ReturnWatch.TOL`` of its
-    start (in the combined (z, p) Euclidean norm) with no axis crossing,
-    on a run that did not escape.  Open escape: the run escaped with at
-    most one crossing.  Tunneling: at least three alternating crossings on
-    a run that did not escape; drift- or step-terminated runs classify on
-    their retained (certified) samples.  The axis crossings are found here
-    unless given.
+    Closed: a run with no axis crossing that did not escape and is back at its
+    start after one real period, to within ``RETURN_TOL`` in (z, p): its period
+    is omega_R (see ``_closed_period``).  At real energy every orbit is back
+    after omega_R, an open one shifted by i pi in z.  Open escape: the run
+    escaped with at most one crossing.  Tunneling: at least three alternating
+    crossings on a run that did not escape; drift- or step-terminated runs
+    classify on their retained (certified) samples.  The axis crossings are
+    found here unless given.
     """
     if crossings is None:
         crossings = detect_axis_crossings(traj)
@@ -344,7 +362,7 @@ def classify_orbit(traj: Trajectory, crossings: Sequence[CrossingEvent] | None =
         side = Side.RIGHT if traj.z[-1].real > 0 else Side.LEFT
         return OrbitClass(kind=OrbitKind.OPEN_ESCAPE, escape_side=side)
     if not crossings and not escaped:
-        period = _recurrence(traj)
+        period = _closed_period(traj)
         if period is not None:
             anchor, _ = nearest_well(complex(np.mean(traj.z)), traj.params)
             return OrbitClass(kind=OrbitKind.CLOSED, period=period, anchor=anchor)
@@ -409,42 +427,45 @@ def closed_orbit_boundary(
 
     The probes start at the well's x, ``BOUNDARY_WIDTH``/2 = 5e-5 below and above
     the separatrix in Im z (signed by ``direction``), and each integrates with
-    ``PROBE_CONFIG`` as it stands at the call.  The lower must end
-    closed, by its first return (``RETURNED``) or at t_max in its cell; the
-    upper open, leaving its cell (``ESCAPED``: Im z moves pi/2, on its first
-    whip down the well column).  Otherwise a BracketingError reports both;
-    a probe that ends by drift or step budget raises AmbiguousOrbitError.
+    ``PROBE_CONFIG`` as it stands at the call, to one real period omega_R
+    (``integrator.real_period``).  The lower must end closed: at t = omega_R
+    (``TIME_LIMIT``), back within ``RETURN_TOL`` of its start.  The upper must
+    end open, leaving its cell (``ESCAPED``: Im z moves pi/2, on its first whip
+    down the well column).  Otherwise a BracketingError reports both; a probe
+    that ends by drift or step budget raises AmbiguousOrbitError.
     """
     if direction not in (-1, 1):
         raise DomainError(f"direction must be +1 or -1, got {direction!r}")
     sep = separatrix_offset(params, energy_real)
+    config = replace(PROBE_CONFIG, t_max=real_period(*chart_invariants(chart_coefficients(params, energy_real))))
     center = well_center(idx, params)
     lo, hi = sep - 0.5 * BOUNDARY_WIDTH, sep + 0.5 * BOUNDARY_WIDTH
-    ends: list[Termination] = []
-    drifts: list[tuple[float, float]] = []
+    runs: list[Trajectory] = []
     for offset in (lo, hi):
         z0 = complex(center.real, center.imag + direction * offset)
         p0 = initial_momentum(z0, complex(energy_real), MomentumBranch.PRINCIPAL, params)
-        traj = integrate(z0, p0, PROBE_CONFIG, params)
+        traj = integrate(z0, p0, config, params)
         if traj.termination in (Termination.DRIFT_EXCEEDED, Termination.STEP_LIMIT):
             raise AmbiguousOrbitError(
                 f"probe at offset {offset!r} ended by {traj.termination.value} "
                 f"at t={float(traj.t[-1])!r}, kept drift up to {traj.max_drift!r}"
             )
-        ends.append(traj.termination)
-        drifts.append((traj.max_drift, traj.drift_floor_rss))
-    if ends[0] is Termination.ESCAPED or ends[1] is not Termination.ESCAPED:
+        runs.append(traj)
+    lower, upper = runs
+    miss = _return_miss(lower, lower.z[-1], lower.p[-1])
+    returned = lower.termination is Termination.TIME_LIMIT and miss <= RETURN_TOL
+    if not returned or upper.termination is not Termination.ESCAPED:
         raise BracketingError(
-            f"probes do not confirm the separatrix {sep!r}: offset {lo!r} ended by {ends[0].value}, "
-            f"offset {hi!r} ended by {ends[1].value}"
+            f"probes do not confirm the separatrix {sep!r}: offset {lo!r} ended by {lower.termination.value}, "
+            f"offset {hi!r} ended by {upper.termination.value}; the lower ended {miss:.3g} off its start"
         )
     return BoundaryResult(
         offset=sep,
         closed_offset=lo,
         open_offset=hi,
-        n_probes=len(drifts),
-        max_probe_drift=max(d for d, _ in drifts),
-        probe_drifts=tuple(drifts),
+        n_probes=len(runs),
+        max_probe_drift=max(traj.max_drift for traj in runs),
+        probe_drifts=tuple((traj.max_drift, traj.drift_floor_rss) for traj in runs),
     )
 
 

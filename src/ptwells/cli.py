@@ -150,8 +150,9 @@ def run_preset(energy: complex, t_max: float | None = None) -> IntegratorConfig:
 
     It runs to ``t_max`` when given, else to ``default_t_max(energy)``.
     A bounded run escapes when it leaves its start's lattice cell: an open
-    orbit at real energy runs down the well column with Re z bounded.
-    (The third preset, for boundary probes, is ``analysis.PROBE_CONFIG``.)
+    orbit at real energy runs down the well column with Re z bounded.  (The
+    third preset, for boundary probes, is ``analysis.PROBE_CONFIG``, run to one
+    real period, by which ``analysis.classify_orbit`` also reads a closed orbit.)
     """
     cfg = IntegratorConfig(t_max=default_t_max(energy) if t_max is None else t_max, max_steps=10_000_000)
     if energy.imag == 0:

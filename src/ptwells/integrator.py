@@ -36,10 +36,11 @@ at theta = i / n, i = 1..n, h_max / 32 apart from a step of h_max / 4 up (the
 DOP853 median step over 8, the spacing the polyline analyses rest on).  Each
 is projected onto the shell as below and mapped, with its step's chart c (+1
 on the left, -1 on the right) and turn count, to z = c (ln|w| + i (arg w +
-2 pi k)) / 2 and p = c w' / (4w).  With ``stop_at_return`` the return watch
-reads each block as it is emitted, and a block also ends at any step that ends
-near the start: the samples end at the first return, and the run ends
-``Termination.RETURNED`` before any later stop.
+2 pi k)) / 2 and p = c w' / (4w).
+
+At real E the lattice has a real period omega_R (:func:`real_period`): after it
+every orbit of that energy is back at its start, shifted by i pi k in z, by which
+``analysis`` classifies it.
 
 After each step the state is projected onto the energy shell
 I = w'^2 - 4 Q(w) = 0 by one Newton step along conj(grad I) / |grad I|^2
@@ -81,11 +82,11 @@ __all__ = [
     "Termination",
     "PhaseState",
     "IntegratorConfig",
-    "ReturnWatch",
     "Trajectory",
     "initial_momentum",
     "derivative",
     "chart_invariants",
+    "real_period",
     "laurent_coefficients",
     "weierstrass_p",
     "step_constants",
@@ -104,7 +105,6 @@ class Termination(enum.Enum):
     STEP_LIMIT = "step_limit"
     ESCAPED = "escaped"
     DRIFT_EXCEEDED = "drift_exceeded"
-    RETURNED = "returned"
 
 
 @dataclass(frozen=True)
@@ -140,8 +140,6 @@ class IntegratorConfig:
     # as ESCAPED (open orbits at real energy flee down the well column
     # with bounded Re z); infinite by default
     escape_y_span: float = math.inf
-    # end at the first return to the start phase point (see ReturnWatch)
-    stop_at_return: bool = False
 
     def __post_init__(self) -> None:
         for name in ("rel_tol", "abs_tol", "t_max", "energy_drift_limit", "escape_radius"):
@@ -162,14 +160,13 @@ class Trajectory:
     the record view.  A kept step of length h has MIN_SAMPLES_PER_STEP
     ceil(4 h / h_max) samples, SAMPLES_PER_STEP if full, and ``len(traj)`` is
     1 plus their sum: a run that ends by drift keeps every accepted step but
-    the last, and one that ends RETURNED keeps its samples up to the return.
-    ``n_accepted`` counts the accepted steps the loop took.  ``drift[i]`` is
-    the energy error of the step that sample i belongs to:
+    the last.  ``n_accepted`` counts the accepted steps the loop took.
+    ``drift[i]`` is the energy error of the step that sample i belongs to:
     |H - E| / max(1, |E|) of the step's end before the projection onto the
     shell, bounded by the integration config's ``energy_drift_limit`` for
-    every retained sample (0 at the start).  ``drift_floor_rss`` is the
-    root sum of squares of the per-sample floors
-    eps (|dV/dz| |z| + 2 |p|^2) / max(1, |E|) over the retained samples.
+    every retained sample (0 at the start).  ``drift_floor_rss`` is the root
+    sum of squares of the per-sample floors eps (|dV/dz| |z| + 2 |p|^2) /
+    max(1, |E|) over the retained samples.
     """
 
     params: SystemParams
@@ -224,88 +221,6 @@ def derivative(state: PhaseState, params: SystemParams) -> tuple[complex, comple
     return dz, dp
 
 
-class ReturnWatch:
-    """The first return of a sample sequence to its start phase point.
-
-    Distances are Euclidean over (z, p) as a 4-real-vector.  Between
-    consecutive samples the orbit is the cubic Hermite of (z, p) in t with
-    the slopes (2p, -dV/dz) of ``dynamics.flow``; a return is the first
-    segment whose closest approach to the start lies within ``TOL``,
-    counted once a sample has left the ball of radius 100 TOL about the
-    start.  ``integrate`` feeds it every kept sample, a block of steps at a
-    time as the samples are emitted, and ends the samples at the return;
-    ``analysis.classify_orbit`` replays a finished trajectory through it,
-    so both find the same return, on the trajectory's last segment.
-    """
-
-    TOL = 1e-4
-
-    def __init__(self, t0: float, z0: complex, p0: complex, params: SystemParams) -> None:
-        self.z0, self.p0 = z0, p0
-        self.leave_sq = (100.0 * self.TOL) ** 2
-        self.left = False
-        self.rhs = flow(params)
-        dz, dp, _ = self.rhs(z0, p0)
-        # time, offset from the start, slope, and the norms of both
-        self.prev = (t0, 0j, 0j, dz, dp, 0.0, math.hypot(abs(dz), abs(dp)))
-
-    def step(self, t: float, z: complex, p: complex) -> float | None:
-        """Take the next sample; the time of the return on the segment it ends, or None."""
-        ta, az, ap, dza, dpa, na, ma = self.prev
-        bz, bp = z - self.z0, p - self.p0
-        dz, dp, _ = self.rhs(z, p)
-        nb, mb = math.hypot(abs(bz), abs(bp)), math.hypot(abs(dz), abs(dp))
-        self.prev = (t, bz, bp, dz, dp, nb, mb)
-        if not self.left:
-            self.left = _norm_sq(bz, bp) > self.leave_sq
-            return None
-        h = t - ta
-        # the chord passes no nearer than max(|a|, |b|) - |u|, and the cubic strays from
-        # it by at most (h max(|m_a|, |m_b|) + |u|) / 4 (see _hermite_closest): far
-        # segments end here, with a margin of TOL against rounding
-        u = math.hypot(abs(bz - az), abs(bp - ap))
-        if (na if na > nb else nb) - u - 0.25 * (h * (ma if ma > mb else mb) + u) > 2.0 * self.TOL:
-            return None
-        s = _hermite_closest((az, ap), (h * dza, h * dpa), (bz, bp), (h * dz, h * dp), self.TOL)
-        return None if s is None else ta + s * h
-
-    def feed(self, t: np.ndarray, z: np.ndarray, p: np.ndarray) -> tuple[int, float] | None:
-        """Take the next samples, as arrays: the index of the one that ends the
-        return's segment and the time of the return, or None."""
-        for i, sample in enumerate(zip(t.tolist(), z.tolist(), p.tolist())):
-            t_return = self.step(*sample)
-            if t_return is not None:
-                return i, t_return
-        return None
-
-
-def _norm_sq(z: complex, p: complex) -> float:
-    return z.real * z.real + z.imag * z.imag + p.real * p.real + p.imag * p.imag
-
-
-def _hermite_closest(a, ma, b, mb, tol: float) -> float | None:
-    """The s in [0, 1] where the cubic Hermite from ``a`` (slope ``ma``) to
-    ``b`` (slope ``mb``), each a (z, p) pair, comes closest to 0, if within
-    ``tol``.  The cubic strays from the chord by s(1-s)((1-s) alpha - s beta),
-    alpha and beta the end slopes less the chord, so by at most
-    max(|alpha|, |beta|) / 4: a chord farther than that beyond ``tol`` is
-    skipped.  Otherwise the squared distance, of degree 6, is minimised over
-    its critical points and the ends."""
-    u = (b[0] - a[0], b[1] - a[1])
-    au = a[0].real * u[0].real + a[0].imag * u[0].imag + a[1].real * u[1].real + a[1].imag * u[1].imag
-    uu = _norm_sq(*u)
-    s = min(1.0, max(0.0, -au / uu)) if uu > 0 else 0.0
-    bow = 0.25 * math.sqrt(max(_norm_sq(ma[0] - u[0], ma[1] - u[1]), _norm_sq(mb[0] - u[0], mb[1] - u[1])))
-    if math.sqrt(_norm_sq(a[0] + s * u[0], a[1] + s * u[1])) > tol + bow:
-        return None
-    # per complex component, the offset c3 s^3 + c2 s^2 + c1 s + c0
-    coef = np.array([[ma[i] + mb[i] - 2.0 * u[i], 3.0 * u[i] - 2.0 * ma[i] - mb[i], ma[i], a[i]] for i in (0, 1)])
-    sq = sum(np.convolve(c, c) for c in (*coef.real, *coef.imag))
-    cands = np.concatenate([[0.0, 1.0], np.clip(np.roots(np.polyder(sq)).real, 0.0, 1.0)])
-    s = float(cands[np.argmin(np.polyval(sq, cands))])
-    return s if math.sqrt(_norm_sq(*(complex(np.polyval(c, s)) for c in coef))) <= tol else None
-
-
 _EPS = 2.220446049250313e-16
 # the most terms of the Laurent series of the Weierstrass function that are summed
 _SERIES_TERMS = 48
@@ -321,6 +236,27 @@ def chart_invariants(q) -> tuple[complex, complex]:
     g2 = a0 * a4 - 4.0 * a1 * a3 + 3.0 * a2 * a2
     g3 = a0 * a2 * a4 + 2.0 * a1 * a2 * a3 - a2**3 - a0 * a3 * a3 - a1 * a1 * a4
     return g2, g3
+
+
+def real_period(g2: complex, g3: complex) -> float:
+    """The real period omega_R of the lattice on the invariants g2, g3 of a real energy,
+    from Re g2 and Re g3: with e1 > e2 > e3 the real roots of 4x^3 - g2 x - g3, in their
+    trigonometric form, omega_R = pi / AGM(sqrt(e1 - e3), sqrt(e1 - e2)) (DLMF 19.8, 23.22).
+    At E = 0 the lattice degenerates to e2 = e3, and omega_R to pi / sqrt(e1 - e3), the real
+    period of the orbits there.  e1 = e2 (an infinite real period) or g2 <= 0 raises DomainError."""
+    g2, g3 = g2.real, g3.real
+    cos3phi = g3 * math.sqrt(27.0 / g2**3) if g2 > 0.0 else math.nan
+    if not cos3phi > -1.0:
+        raise DomainError(f"the lattice of g2={g2!r}, g3={g3!r} has no finite real period")
+    # near E = 0 rounding carries cos 3phi up to a few eps past 1; an error in phi moves
+    # e2 and e3 apart oppositely, which the AGM cancels to first order
+    r = math.sqrt(g2 / 3.0)
+    phi = math.acos(min(cos3phi, 1.0)) / 3.0
+    e1, e2, e3 = (r * math.cos(phi - j * _TWO_PI / 3.0) for j in range(3))
+    a, b = math.sqrt(e1 - e3), math.sqrt(e1 - e2)
+    while abs(a - b) > 2.0 * _EPS * a:
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return math.pi / a
 
 
 def laurent_coefficients(g2: complex, g3: complex) -> list[complex]:
@@ -484,8 +420,7 @@ def integrate(
     config: IntegratorConfig,
     params: SystemParams,
 ) -> Trajectory:
-    """Integrate from (z0, p0) until t_max, escape, step budget, drift, or
-    (with ``config.stop_at_return``) the first return to the start."""
+    """Integrate from (z0, p0) until t_max, escape, step budget or drift."""
     try:
         e0 = hamiltonian(z0, p0, params)
     except NonFiniteStateError as exc:
@@ -501,37 +436,30 @@ def integrate(
     drift_limit, escape_y_span = config.energy_drift_limit, config.escape_y_span
     w_escape = math.exp(-2.0 * config.escape_radius)  # |Re z| > escape_radius: |w| off [w_escape, 1 / w_escape]
     y0 = z0.imag
-    log, phase, hypot, inf = math.log, cmath.phase, math.hypot, math.inf
+    phase, inf = cmath.phase, math.inf
     ell = max(abs(g2) ** 0.25, abs(g3) ** (1.0 / 6.0))
     h_max = (min(_H_MAX, _H_LATTICE / ell) if ell else _H_MAX) * (rtol / 1e-10) ** 0.125
     constants: dict[float, tuple] = {}  # step_constants by step length
     table = _SampleConstants(laurent_coefficients(g2, g3), h_max)  # table.c: the run's Laurent coefficients
 
     t, z, p = 0.0, complex(z0), complex(p0)
-    watch = ReturnWatch(t, z, p, params) if config.stop_at_return else None
-    # with the watch: whether the orbit has been away, whether the last step may
-    # hold the return, and its end's distance from the start
-    away, near, d = False, False, 0.0
     chunks = [(np.array([t]), np.array([z]), np.array([p]), np.zeros(1))]
     floor_sq = 0.0  # the sum of the kept samples' squared floors
     steps: list[tuple] = []  # accepted steps not yet emitted
     blocks: list[tuple] = []  # emitted samples not yet merged into ``chunks``
 
-    def flush() -> bool:
-        """Emit ``steps``; True if the watch finds the return, where the samples then end."""
+    def flush() -> None:
+        """Emit ``steps`` into ``blocks``, and every ``_MERGE_BLOCKS`` blocks into ``chunks``."""
         nonlocal floor_sq
         if not steps:
-            return False
+            return
         *block, floor = _emit(steps, q, table, atol, rtol)
         steps.clear()
-        hit = None if watch is None else watch.feed(*block[:3])
-        end = None if hit is None else hit[0] + 1
-        blocks.append(tuple(x[:end] for x in block))
-        floor_sq += float(np.dot(floor[:end], floor[:end]))
+        blocks.append(tuple(block))
+        floor_sq += float(np.dot(floor, floor))
         if len(blocks) == _MERGE_BLOCKS:  # small kept arrays among freed temporaries would fragment the heap
             chunks.append(tuple(np.concatenate(x) for x in zip(*blocks)))
             blocks.clear()
-        return hit is not None
 
     # the chart: c = +1 for w = e^{2z}, -1 for w = e^{-2z}; k counts the turns of w
     c = 1.0 if z.real <= 0.0 else -1.0
@@ -590,18 +518,6 @@ def integrate(
             steps.append((t, h, c, k, w, v, a, qw, wn, drift))
         w, v, a, qw = wn, vn, an, qn
         y = 0.5 * c * (ph + k * _TWO_PI + k * _TWO_PI_LO)  # Im z
-        if watch is not None:
-            # a step of arc length at most twice its chord, in (z, p), passes within
-            # TOL of the start only if the start lies in the ellipse about its ends
-            # below.  Once the orbit has been away, 4 chords from the start, such a
-            # step's samples go to the watch at once, so that the loop stops there.
-            # A return missed here is found at a later flush
-            z_end, p_end = complex(0.5 * c * log(aw), y), 0.25 * c * v / w
-            d_end = hypot(abs(z_end - z0), abs(p_end - p0))
-            chord = hypot(abs(z_end - z), abs(p_end - p))
-            near = away and d + d_end <= 2.0 * (chord + ReturnWatch.TOL)
-            away = away or d_end > 4.0 * chord
-            z, p, d = z_end, p_end, d_end
 
         if aw < w_escape or aw * w_escape > 1.0 or abs(y - y0) > escape_y_span:
             termination = Termination.ESCAPED
@@ -612,9 +528,8 @@ def integrate(
         if last_step:
             termination = Termination.TIME_LIMIT
             break
-        if (near or len(steps) >= _BLOCK_STEPS) and flush():
-            termination = Termination.RETURNED
-            break
+        if len(steps) >= _BLOCK_STEPS:
+            flush()
 
         if aw > 1.0:  # across the imaginary axis: the other chart
             w = 1.0 / w
@@ -626,9 +541,12 @@ def integrate(
             a, qw = accel(w)
         scale = min(2.0 * scale, 1.0)
 
-    if flush():  # a return among the last samples ends the run there, before any later stop
-        termination = Termination.RETURNED
-    t, z, p, drift = (np.concatenate(x) for x in zip(*chunks, *blocks))
+    flush()
+    fields = [list(x) for x in zip(*chunks, *blocks)]  # t, z, p, drift: the only holder of each field's pieces
+    chunks.clear()
+    blocks.clear()
+    # a field's pieces are freed once it is joined, before the next: no sample is held twice
+    t, z, p, drift = (np.concatenate(fields.pop(0)) for _ in range(4))
     return Trajectory(
         params=params,
         energy=e0,

@@ -29,7 +29,6 @@ from ptwells import (
     initial_momentum,
     integrate,
     measure_tunneling,
-    potential_gradient,
     self_intersections,
     separatrix_offset,
     spiral_chirality,
@@ -39,10 +38,12 @@ from ptwells import (
 )
 from ptwells import analysis
 from ptwells.analysis import BOUNDARY_WIDTH, PROBE_CONFIG
-from ptwells.integrator import ReturnWatch
+from ptwells.dynamics import chart_coefficients
+from ptwells.integrator import chart_invariants, real_period
 from ptwells.wells import lattice_y_array, well_x
 
 P = SystemParams(0.1, 3)
+OMEGA_R = real_period(*chart_invariants(chart_coefficients(P, 0.8 + 0j)))  # the real period at E = 0.8
 
 
 def synthetic_trajectory(t, z, p=None, termination=Termination.TIME_LIMIT, params=P):
@@ -171,6 +172,25 @@ class TestClassification:
         assert oc.kind is OrbitKind.CLOSED
         assert oc.period == 0.0
 
+    @pytest.mark.parametrize("offset", [0.2, 0.45, 0.6])
+    def test_zero_energy_start_classifies_by_its_period(self, offset):
+        # at E = 0 the well centers are equilibria and the lattice degenerates; the orbits
+        # about them keep the real period T0 = pi / (2 sqrt(M^2 + zeta^2)), omega_R's limit.
+        # 0.2 and 0.45 above left well 0 are back at their start after T0, closed; 0.6, run
+        # on past its cell, comes back shifted by -i pi and gets no closed class
+        c = well_center(WellIndex(Side.LEFT, 0), P)
+        z0 = complex(c.real, c.imag + offset)
+        cfg = IntegratorConfig(t_max=2.0, escape_y_span=math.inf)
+        traj = integrate(z0, initial_momentum(z0, 0j, MomentumBranch.PRINCIPAL, P), cfg, P)
+        assert traj.termination is Termination.TIME_LIMIT
+        t0 = math.pi / (2.0 * math.hypot(P.m_int, P.zeta))
+        if offset < 0.5:
+            oc = classify_orbit(traj)
+            assert oc.kind is OrbitKind.CLOSED and abs(oc.period - t0) <= 1e-12
+        else:
+            with pytest.raises(AmbiguousOrbitError):
+                classify_orbit(traj)
+
     def test_ambiguous_raises(self):
         # too short for recurrence, escape, or crossings
         c = well_center(WellIndex(Side.LEFT, 0), P)
@@ -278,50 +298,50 @@ def _probe_start(offset: float) -> tuple[complex, complex]:
 
 
 class TestReturnStop:
+    # At E = 0.8 every orbit is back at its start after the real period omega_R,
+    # a closed one to rounding and an open one shifted by +-i pi in z
+
     def test_probe_near_boundary_stops_at_first_return(self):
-        # integrated on, this closed start picks up drift 2.45e-3 on later
-        # loops and escapes at t = 4.39
-        traj = integrate(*_probe_start(0.529736328125), PROBE_CONFIG, P)
-        assert traj.termination is Termination.RETURNED
-        assert traj.t[-1] < 0.6
-        assert classify_orbit(traj).kind is OrbitKind.CLOSED
+        # the lower boundary probe, 5e-5 below the separatrix, run to omega_R
+        start = _probe_start(separatrix_offset(P, 0.8) - 0.5 * BOUNDARY_WIDTH)
+        traj = integrate(*start, replace(PROBE_CONFIG, t_max=OMEGA_R), P)
+        assert traj.termination is Termination.TIME_LIMIT and traj.t[-1] == OMEGA_R
+        dist = np.hypot(np.abs(traj.z - start[0]), np.abs(traj.p - start[1]))
+        assert dist[-1] <= 1e-12
+        # and omega_R is its first return: in between it stays away from the start
+        assert dist[(traj.t > 0.05) & (traj.t < OMEGA_R - 0.05)].min() > 0.01
+        oc = classify_orbit(traj)
+        assert oc.kind is OrbitKind.CLOSED and abs(oc.period - OMEGA_R) <= 1e-14
 
     def test_probe_past_boundary_stops_at_cell_exit(self):
-        # this open start never returns; with a 2 pi span it ran to t_max
-        # (t = 15, drift 0.016) and read as closed
-        traj = integrate(*_probe_start(0.52979736328125), PROBE_CONFIG, P)
+        # the upper boundary probe, 5e-5 above the separatrix, leaves its cell before omega_R
+        traj = integrate(*_probe_start(separatrix_offset(P, 0.8) + 0.5 * BOUNDARY_WIDTH),
+                         replace(PROBE_CONFIG, t_max=OMEGA_R), P)
         assert traj.termination is Termination.ESCAPED
-        assert traj.t[-1] < 0.5
+        assert traj.t[-1] < 0.5 < OMEGA_R
         assert abs(traj.z[-1].imag - traj.z[0].imag) > 0.5 * math.pi
+        assert classify_orbit(traj).kind is OrbitKind.OPEN_ESCAPE
 
     @pytest.mark.parametrize("offset", [0.2, 0.4740, 0.52, 0.54, 0.6])
     def test_period_is_the_last_segment_return(self, offset):
-        traj = integrate(*_probe_start(offset), replace(PROBE_CONFIG, t_max=30.0), P)
-        if offset > 0.535:
-            assert traj.termination is Termination.ESCAPED
-            return
-        assert traj.termination is Termination.RETURNED
-        oc = classify_orbit(traj)
-        assert oc.kind is OrbitKind.CLOSED
-        # closest approach to the start of the last segment's cubic Hermite in
-        # t, with the slopes (2p, -dV/dz) at both ends, in (z, p) as R^4
-        ta, tb = traj.t[-2], traj.t[-1]
-        h = tb - ta
-        (a, ma), (b, mb) = [
-            (
-                np.array([traj.z[i] - traj.z[0], traj.p[i] - traj.p[0]]),
-                h * np.array([2.0 * traj.p[i], -potential_gradient(complex(traj.z[i]), P)]),
-            )
-            for i in (-2, -1)
-        ]
-        s = np.linspace(0.0, 1.0, 200_001)[:, None]
-        curve = (
-            (2 * s**3 - 3 * s**2 + 1) * a + (s**3 - 2 * s**2 + s) * ma + (3 * s**2 - 2 * s**3) * b + (s**3 - s**2) * mb
-        )
-        dist = np.linalg.norm(curve, axis=1)
-        i = int(np.argmin(dist))
-        assert dist[i] <= ReturnWatch.TOL
-        assert oc.period == pytest.approx(ta + s[i, 0] * h, rel=0, abs=1e-5 * h)
+        # classify_orbit's rule on a run past omega_R: one exact step from the last
+        # sample before omega_R lands on the start, or, for the open starts (0.54,
+        # 0.6, run on with the cell exit lifted), on the start shifted by +-i pi
+        start = _probe_start(offset)
+        traj = integrate(*start, replace(PROBE_CONFIG, t_max=2.0, escape_y_span=math.inf), P)
+        assert traj.termination is Termination.TIME_LIMIT
+        i = int(np.searchsorted(traj.t, OMEGA_R)) - 1
+        end = integrate(complex(traj.z[i]), complex(traj.p[i]), replace(traj.config, t_max=OMEGA_R - traj.t[i]), P)
+        assert end.n_accepted == 1 and end.termination is Termination.TIME_LIMIT
+        dz, dp = end.z[-1] - start[0], end.p[-1] - start[1]
+        shift = math.copysign(math.pi, dz.imag) if offset > separatrix_offset(P, 0.8) else 0.0
+        assert abs(dz - 1j * shift) <= 1e-12 and abs(dp) <= 1e-12
+        if shift:
+            with pytest.raises(AmbiguousOrbitError):
+                classify_orbit(traj)
+        else:
+            oc = classify_orbit(traj)
+            assert oc.kind is OrbitKind.CLOSED and abs(oc.period - OMEGA_R) <= 1e-14
 
     @pytest.mark.parametrize(
         "n,offset",
@@ -329,35 +349,47 @@ class TestReturnStop:
         + [(0, offset) for offset in (0.2, 0.4740, 0.52, 0.54, 0.6)],
     )
     def test_online_return_is_the_replayed_one(self, n, offset):
-        # the boundary probes above left wells 0 and -2 (where the return falls on
-        # the last sample of a block) and criterion 7(d)'s starts: the loop feeds
-        # the watch the samples it keeps, a block of steps at a time, and ends
-        # them at the return; the same start run on without the stop keeps the
-        # same samples, and the replay finds the same return on the same segment
+        # the boundary probes above left wells 0 and -2 and criterion 7(d)'s starts,
+        # with the cell exit lifted: a run stopped at omega_R, as the probes are, and
+        # a longer run stepped on from its last sample before omega_R, as
+        # classify_orbit does, reach the same state, the start or the start shifted
+        # by +-i pi, and get the same class
         if isinstance(offset, str):
             offset = separatrix_offset(P, 0.8) + (0.5 if offset == "open probe" else -0.5) * BOUNDARY_WIDTH
         c = well_center(WellIndex(Side.LEFT, n), P)
         z0 = complex(c.real, c.imag + offset)
-        start = z0, initial_momentum(z0, 0.8 + 0j, MomentumBranch.PRINCIPAL, P)
-        cfg = replace(PROBE_CONFIG, t_max=30.0)
-        online = integrate(*start, cfg, P)
-        run_on = integrate(*start, replace(cfg, stop_at_return=False), P)
-        n = len(online)
-        for name in ("t", "z", "p", "drift"):
-            assert np.array_equal(getattr(online, name), getattr(run_on, name)[:n])
-        replayed = analysis._recurrence(run_on)
-        if online.termination is Termination.RETURNED:
-            assert replayed == classify_orbit(online).period
-            assert online.t[-2] < replayed <= online.t[-1]
+        p0 = initial_momentum(z0, 0.8 + 0j, MomentumBranch.PRINCIPAL, P)
+        cfg = replace(PROBE_CONFIG, escape_y_span=math.inf)
+        online = integrate(z0, p0, replace(cfg, t_max=OMEGA_R), P)
+        longer = integrate(z0, p0, replace(cfg, t_max=2.0), P)
+        i = int(np.searchsorted(longer.t, OMEGA_R)) - 1
+        replayed = integrate(complex(longer.z[i]), complex(longer.p[i]), replace(cfg, t_max=OMEGA_R - longer.t[i]), P)
+        assert abs(online.z[-1] - replayed.z[-1]) <= 1e-12 and abs(online.p[-1] - replayed.p[-1]) <= 1e-12
+        dz = online.z[-1] - z0
+        opened = offset > separatrix_offset(P, 0.8)
+        assert abs(abs(dz.imag) - (math.pi if opened else 0.0)) <= 1e-12 and abs(dz.real) <= 1e-12
+        if opened:
+            for traj in (online, longer):
+                with pytest.raises(AmbiguousOrbitError):
+                    classify_orbit(traj)
         else:
-            assert online.termination is Termination.ESCAPED and run_on.termination is Termination.ESCAPED
-            assert replayed is None and n == len(run_on)
+            assert classify_orbit(online) == classify_orbit(longer)
+            assert abs(classify_orbit(online).period - OMEGA_R) <= 1e-14
 
     def test_without_the_return_stop_integrates_on(self):
-        traj = integrate(*_probe_start(0.2), replace(PROBE_CONFIG, stop_at_return=False), P)
+        # the probe preset runs to its t_max, and a closed run past omega_R classifies by it
+        traj = integrate(*_probe_start(0.2), replace(PROBE_CONFIG, t_max=15.0), P)
         assert traj.termination is Termination.TIME_LIMIT
-        assert traj.t[-1] == PROBE_CONFIG.t_max
-        assert classify_orbit(traj).kind is OrbitKind.CLOSED
+        assert traj.t[-1] == 15.0
+        oc = classify_orbit(traj)
+        assert oc.kind is OrbitKind.CLOSED and abs(oc.period - OMEGA_R) <= 1e-14
+
+    def test_run_shorter_than_the_period_stays_ambiguous(self):
+        start = _probe_start(0.4740)
+        short = integrate(*start, IntegratorConfig(t_max=0.99 * OMEGA_R), P)
+        with pytest.raises(AmbiguousOrbitError):
+            classify_orbit(short)
+        assert abs(classify_orbit(integrate(*start, IntegratorConfig(t_max=OMEGA_R), P)).period - OMEGA_R) <= 1e-14
 
 
 class TestBoundary:

@@ -18,7 +18,7 @@ from ptwells import (
     cli,
     well_center,
 )
-from ptwells.analysis import BOUNDARY_WIDTH, PROBE_CONFIG
+from ptwells.analysis import BOUNDARY_WIDTH
 from ptwells.cli import (
     EXIT_AMBIGUOUS,
     EXIT_NUMERICAL,
@@ -475,9 +475,10 @@ class TestPoolSizing:
 
 class TestThresholdCommand:
     def test_bracket_failure_exit(self, monkeypatch, capsys):
-        # the upper probe cannot leave its cell this soon, so the probes
-        # do not confirm the separatrix
-        monkeypatch.setattr(analysis, "PROBE_CONFIG", replace(PROBE_CONFIG, t_max=0.3))
+        # with the probes stopped at t = 0.3, short of the real period, the lower one is
+        # not back at its start and the upper one cannot leave its cell this soon, so
+        # the probes do not confirm the separatrix
+        monkeypatch.setattr(analysis, "real_period", lambda g2, g3: 0.3)
         args = ["threshold", "--zeta", "0.1", "--M", "3", "--e", "0.8"]
         assert main(args) == EXIT_NUMERICAL
         err = capsys.readouterr().err

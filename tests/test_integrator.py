@@ -110,8 +110,9 @@ class TestIntegrate:
         assert max(np.abs(err1).max(), np.abs(err2).max()) <= allowance
 
     def test_closed_period_is_omega_a(self, fig_closed):
-        # omega_A, the integral of dw / sqrt(Q) between the two small roots of Q
-        assert abs(classify_orbit(fig_closed).period - 0.548162911389794) <= 1e-5
+        # omega_A, the integral of dw / sqrt(Q) between the two small roots of Q: the real
+        # period of the lattice, which classify_orbit reports (3.4e-14 off here)
+        assert abs(classify_orbit(fig_closed).period - 0.548162911389794) <= 1e-12
 
     def test_no_jump_between_samples(self, fig_tunneling):
         # one step turns w by at most 1 rad and scales it by at most e, so z
@@ -292,6 +293,63 @@ def _closed_form(mp, z0: complex, p0: complex, params: SystemParams):
         return w0 + (-v0 * d + f1 * s / 2 + f0 * f3 / 24) / (2 * s * s - f0 * f4 / 48)
 
     return w
+
+
+def _mp_real_period(g2: complex, g3: complex) -> float:
+    """omega_R = 2 K(m) / sqrt(e1 - e3), m = (e2 - e3) / (e1 - e3), from the roots
+    e1 >= e2 >= e3 of 4x^3 - g2 x - g3 at 30 digits (real parts, where rounding of
+    a near-degenerate g2, g3 leaves e2 and e3 a complex pair)."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        roots = mp.polyroots([4, 0, -mp.mpf(g2.real), -mp.mpf(g3.real)], extraprec=60)
+        e1, e2, e3 = sorted((mp.re(x) for x in roots), reverse=True)
+        return float(2 * mp.ellipk((e2 - e3) / (e1 - e3)) / mp.sqrt(e1 - e3))
+
+
+class TestRealPeriod:
+    @pytest.mark.parametrize(
+        "zeta,m_int,energy",
+        [(0.1, 3, 0.8), (0.1, 3, -1.0), (0.1, 2, 0.8), (1.0, 4, 0.8), (0.3, 3, 5.0)]
+        + [(0.1, 5, 1e-3), (0.1, 3, 1e-5), (0.1, 3, -1e-4)],
+    )
+    def test_matches_the_complete_elliptic_integral(self, zeta, m_int, energy):
+        # at most 2.2e-16 relative here, also at the small energies, where
+        # g2^3 - 27 g3^2 is down at its rounding
+        pytest.importorskip("mpmath")
+        g2, g3 = integrator.chart_invariants(chart_coefficients(SystemParams(zeta, m_int), complex(energy)))
+        assert abs(integrator.real_period(g2, g3) / _mp_real_period(g2, g3) - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("zeta,m_int", [(0.1, 3), (0.1, 1), (0.3, 4), (1.0, 5)])
+    def test_zero_energy_gives_the_limit(self, zeta, m_int):
+        # at E = 0 the well centers are equilibria and the lattice degenerates to e2 = e3;
+        # omega_R tends to T0 = pi / (2 sqrt(M^2 + zeta^2)), the real period of the orbits
+        # there.  The computed cos 3phi reads 1 - 1.1e-16 at (0.1, 1), 1 at (0.1, 3),
+        # 1 - 3.3e-16 at (0.3, 4) and (1.0, 5)
+        g2, g3 = integrator.chart_invariants(chart_coefficients(SystemParams(zeta, m_int), 0j))
+        t0 = math.pi / (2.0 * math.hypot(m_int, zeta))
+        assert abs(integrator.real_period(g2, g3) / t0 - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("g2,g3", [(3.0, -1.0), (3.0, -1.5), (0.0, 1.0), (-1.0, 0.0), (math.nan, 1.0)])
+    def test_no_finite_real_period_raises(self, g2, g3):
+        # e1 = e2 (cos 3phi = -1, or past it), or g2 <= 0, or not a number
+        with pytest.raises(DomainError, match="no finite real period"):
+            integrator.real_period(complex(g2), complex(g3))
+
+    @pytest.mark.parametrize("m_int,energy", [(5, 1e-3), (3, 1e-5), (3, 0.0)])
+    def test_small_energy_start_is_closed(self, m_int, energy):
+        # a closed start near or at E = 0, 0.2 above left well 0, classifies closed with
+        # the period of the 30-digit roots
+        pytest.importorskip("mpmath")
+        params = SystemParams(0.1, m_int)
+        c = well_center(WellIndex(Side.LEFT, 0), params)
+        z0 = complex(c.real, c.imag + 0.2)
+        p0 = initial_momentum(z0, complex(energy), MomentumBranch.PRINCIPAL, params)
+        traj = integrate(z0, p0, IntegratorConfig(t_max=2.0), params)
+        oc = classify_orbit(traj)
+        assert oc.kind is OrbitKind.CLOSED
+        omega = _mp_real_period(*integrator.chart_invariants(chart_coefficients(params, traj.energy)))
+        assert abs(oc.period - omega) <= 1e-12
 
 
 class TestChartStep:
