@@ -60,10 +60,10 @@ def flow(params: SystemParams) -> Callable[[complex, complex], tuple[complex, co
     bracket = zeta cosh(2z) - iM and V = -bracket^2.  cosh(2x + 2iy) =
     cosh2x cos2y + i sinh2x sin2y and the analogous identity for sinh
     share four real evaluations.  It serves the quantities evaluated in z:
-    :func:`potential`, :func:`potential_gradient`, ``integrator.derivative``
-    and the slopes of the integrator's return watch; the integration loop
-    steps the chart polynomial of :func:`chart_coefficients`.  A cosh or
-    sinh overflow raises NonFiniteStateError.
+    :func:`potential`, :func:`potential_gradient` and
+    ``integrator.derivative``; the integration loop steps the chart
+    polynomial of :func:`chart_coefficients`.  A cosh or sinh overflow
+    raises NonFiniteStateError.
     """
     zeta = params.zeta
     i_m = 1j * params.m_int

@@ -20,23 +20,24 @@ l = max(|g2|^(1/4), |g3|^(1/6)) the inverse length scale of the period
 lattice: h l = 0.52, four times the median step of an adaptive DOP853 run at
 rel_tol 1e-10 on the zeta = 0.1 orbits, lies well inside the series' radius.
 The steps and the samples are exact: ``rel_tol`` sets the samples'
-resolution, not a truncation error, and with ``abs_tol`` bounds the
-projection below.  Every step length is h_max / 2^j, and t is h_max times
-the exact sum of the 2^-j, so the step ends carry the orbit's time to one
-rounding.  At |w| > 1 the loop changes chart, w -> 1/w and w' -> -w'/w^2.
-A step that turns w by more than 1 rad, or scales |w| by more than e, is
-rejected and halved, and the next accepted step doubles the length back:
-the integer count k of turns about w = 0 then stays exact, and approaches
-to w = 0 are resolved.
+resolution, not a truncation error, and bounds the projection below.
+Every step length is h_max / 2^j, and t is h_max times the exact sum of
+the 2^-j, so the step ends carry the orbit's time to one rounding.  At
+|w| > 1 the loop changes chart, w -> 1/w and w' -> -w'/w^2.  A step that
+turns w by more than 1 rad, or scales |w| by more than e, is rejected and
+halved, and the next accepted step doubles the length back: the integer
+count k of turns about w = 0 then stays exact, and approaches to w = 0 are
+resolved.
 
 The loop keeps only the step ends.  Every ``_BLOCK_STEPS`` accepted steps, and
 at the end of the run, numpy emits each step's samples by the map itself,
 :func:`chart_step` from the step's start over theta h: n = 8 ceil(4 h / h_max)
 at theta = i / n, i = 1..n, h_max / 32 apart from a step of h_max / 4 up (the
 DOP853 median step over 8, the spacing the polyline analyses rest on).  Each
-is projected onto the shell as below and mapped, with its step's chart c (+1
-on the left, -1 on the right) and turn count, to z = c (ln|w| + i (arg w +
-2 pi k)) / 2 and p = c w' / (4w).
+is mapped, with its step's chart c (+1 on the left, -1 on the right) and
+turn count, to z = c (ln|w| + i (arg w + 2 pi k)) / 2 and p = c w' / (4w).
+The samples are not projected: the map runs from a step start that is
+already on the shell, and keeps them there to rounding.
 
 At real E the lattice has a real period omega_R (:func:`real_period`): after it
 every orbit of that energy is back at its start, shifted by i pi k in z, by which
@@ -47,14 +48,14 @@ I = w'^2 - 4 Q(w) = 0 by one Newton step along conj(grad I) / |grad I|^2
 (Hairer, Lubich & Wanner, *Geometric Numerical Integration*, IV.4),
 which is well conditioned in the charts but at the equilibria, double roots
 of Q where grad I = 0 and Q's rounding is the residual: a projection that
-would move w or w' by more than atol + rtol times its size is skipped.  The
-residual before the projection, |I| / (16 |w|^2) / max(1, |E|), is
-|H - E| / max(1, |E|) of the unprojected state, the energy error of one
-step, rounding alone for the exact map: ``Trajectory.drift``.  Measured in
-z it grows as 1/|w|^2 on a whip.  The first step whose drift exceeds
-``energy_drift_limit`` is discarded and integration stops.  The escape
-bounds are tested before the drift, on that step's end: the run ends
-``Termination.ESCAPED`` if it lies beyond one, else
+would move w or w' by more than rel_tol (|x| + 1e-2), x its size, is
+skipped.  The residual before the projection, |I| / (16 |w|^2) /
+max(1, |E|), is |H - E| / max(1, |E|) of the unprojected state, the energy
+error of one step, rounding alone for the exact map: ``Trajectory.drift``.
+Measured in z it grows as 1/|w|^2 on a whip.  The first step whose drift
+exceeds ``energy_drift_limit`` is discarded and integration stops.  The
+escape bounds are tested before the drift, on that step's end: the run
+ends ``Termination.ESCAPED`` if it lies beyond one, else
 ``Termination.DRIFT_EXCEEDED``.
 
 In z, where the samples are stored, H is ill-conditioned at a whip: one
@@ -121,8 +122,8 @@ class IntegratorConfig:
     """Settings of one run of :func:`integrate`.
 
     ``rel_tol`` sets the step length h_max, as (rel_tol / 1e-10)^(1/8) times the
-    length at 1e-10, so the sample spacing, and with ``abs_tol`` the largest
-    projection onto the shell that is applied, atol + rtol times the size of w or w'.
+    length at 1e-10, so the sample spacing, and the largest projection of a step
+    end onto the shell that is applied, rel_tol (|x| + 1e-2) for x = w or w'.
     The run ends at ``t_max``, after ``max_steps`` steps (accepted and
     rejected), at the first step whose energy error exceeds
     ``energy_drift_limit`` (``Termination.DRIFT_EXCEEDED``), or where |Re z|
@@ -131,7 +132,6 @@ class IntegratorConfig:
     """
 
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
     t_max: float = 200.0
     max_steps: int = 2_000_000
     energy_drift_limit: float = 1e-8
@@ -142,7 +142,7 @@ class IntegratorConfig:
     escape_y_span: float = math.inf
 
     def __post_init__(self) -> None:
-        for name in ("rel_tol", "abs_tol", "t_max", "energy_drift_limit", "escape_radius"):
+        for name in ("rel_tol", "t_max", "energy_drift_limit", "escape_radius"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise DomainError(f"{name} must be finite and > 0, got {v!r}")
@@ -384,26 +384,18 @@ class _SampleConstants:
         return [len(x) for x in columns], self.rows[:, np.concatenate(columns)]
 
 
-def _emit(steps: list, q, table: _SampleConstants, atol: float, rtol: float) -> tuple[np.ndarray, ...]:
+def _emit(steps: list, q, table: _SampleConstants) -> tuple[np.ndarray, ...]:
     """The samples of a block of accepted steps.
 
     Each row of ``steps`` is (t, h, c, k, w0, w0', w0'', Q(w0), w, drift) of one step: its
     end time, length, chart and turn count at the end, its start in its own chart and the
-    end's w.  A sample is :func:`chart_step` from the start over theta h, projected onto
-    the shell by the loop's Newton step and mapped to (z, p) with the step's chart and
-    turns.  Returns t, z, p, drift and the floor of each sample.
+    end's w.  A sample is :func:`chart_step` from the start over theta h, mapped to (z, p)
+    with the step's chart and turns.  Returns t, z, p, drift and the floor of each sample.
     """
     s = np.array(steps, dtype=complex).T
     n, (theta, *pk) = table.gather([row[1] for row in steps])
-    w, v, a, qw = chart_step(q, *np.repeat(s[4:8], n, axis=1), pk)
+    w, v, a, _ = chart_step(q, *np.repeat(s[4:8], n, axis=1), pk)
     t1, h, c, k, drift, ph1 = np.repeat(np.concatenate([s[[0, 1, 2, 3, 9]].real, np.angle(s[8:9])]), n, axis=1)
-    # the loop's projection onto I = w'^2 - 4 Q(w) = 0, skipped where it exceeds the tolerance
-    res = v * v - 4.0 * qw
-    gg = np.abs(a) ** 2 + np.abs(v) ** 2
-    f = np.divide(0.5 * res, gg, out=np.zeros_like(res), where=gg > 0.0)
-    f[(np.abs(f * a) > atol + rtol * np.abs(w)) | (np.abs(f * v) > atol + rtol * np.abs(v))] = 0.0
-    w = w + f * a.conj()
-    v = v - f * v.conj()
     aw = np.abs(w)
     ph = np.angle(w)
     k += np.round((ph1 - ph) / _TWO_PI)  # arg w within 1 rad of the step end's
@@ -432,7 +424,8 @@ def integrate(
     g2, g3 = chart_invariants(q)
     accel = chart_flow(params, e0)
     e_scale = max(1.0, abs(e0))
-    rtol, atol, t_max, max_steps = config.rel_tol, config.abs_tol, config.t_max, config.max_steps
+    rtol, t_max, max_steps = config.rel_tol, config.t_max, config.max_steps
+    atol = rtol / 100.0  # the projection's bound is rtol (|x| + 1e-2), x = w or w'
     drift_limit, escape_y_span = config.energy_drift_limit, config.escape_y_span
     w_escape = math.exp(-2.0 * config.escape_radius)  # |Re z| > escape_radius: |w| off [w_escape, 1 / w_escape]
     y0 = z0.imag
@@ -453,7 +446,7 @@ def integrate(
         nonlocal floor_sq
         if not steps:
             return
-        *block, floor = _emit(steps, q, table, atol, rtol)
+        *block, floor = _emit(steps, q, table)
         steps.clear()
         blocks.append(tuple(block))
         floor_sq += float(np.dot(floor, floor))

@@ -149,7 +149,7 @@ def _map_run(zeta: float, m: int) -> Trajectory:
     t_max = 340.0 if zeta < 0.5 else 250.0
     # tight tolerances: at zeta=1 the nested spiral wraps pass within the
     # noise floor of looser runs and pick up spurious polyline crossings
-    cfg = replace(run_preset(1 + 1j, t_max), rel_tol=1e-12, abs_tol=1e-14)
+    cfg = replace(run_preset(1 + 1j, t_max), rel_tol=1e-12)
     p0 = initial_momentum(0j, 1 + 1j, MomentumBranch.PRINCIPAL, params)
     return integrate(0j, p0, cfg, params)
 

@@ -101,12 +101,14 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("fixture", ["fig_closed", "fig_tunneling"])
     def test_stored_samples_hold_the_energy(self, fixture, request):
-        # H evaluated in z at every stored sample, against criterion 5's
-        # allowance 1e-8 + K R: a fault in rebuilding z and p from the chart
-        # state (a lost turn of w, a drifting angle) breaks it
+        # H evaluated in z at every stored sample, against K R, the rounding
+        # floor alone: the samples are the flow map's, unprojected, so a sample
+        # off the shell by more than rounding (a lost turn of w, a drifting
+        # angle, a step start off the shell) breaks it.  Measured 0.010 and
+        # 0.112 of the allowance
         traj = request.getfixturevalue(fixture)
         err1, err2 = traj.energy_component_errors()
-        allowance = 1e-8 + (4.0 / math.sqrt(12.0) + 1.0) * traj.drift_floor_rss
+        allowance = (4.0 / math.sqrt(12.0) + 1.0) * traj.drift_floor_rss
         assert max(np.abs(err1).max(), np.abs(err2).max()) <= allowance
 
     def test_closed_period_is_omega_a(self, fig_closed):
@@ -146,7 +148,7 @@ class TestIntegrate:
         p0 = initial_momentum(z0, 0.8 + 0j, MomentumBranch.PRINCIPAL, P)
         traj = integrate(z0, p0, IntegratorConfig(t_max=10.0), P)
         for i in (i for i in range(1, len(traj), 97) if i % MIN_SAMPLES_PER_STEP):
-            ref = integrate(z0, p0, IntegratorConfig(t_max=float(traj.t[i]), rel_tol=1e-13, abs_tol=1e-15), P)
+            ref = integrate(z0, p0, IntegratorConfig(t_max=float(traj.t[i]), rel_tol=1e-13), P)
             assert abs(traj.z[i] - ref.z[-1]) <= 1e-9
             assert abs(traj.p[i] - ref.p[-1]) <= 5e-8
 
@@ -236,13 +238,20 @@ class TestIntegrate:
         back = integrate(z1, -p1, IntegratorConfig(t_max=20.0), P)
         assert abs(complex(back.z[-1]) - z0) <= 1e-6
 
-    def test_config_validation(self):
-        with pytest.raises(DomainError):
-            IntegratorConfig(t_max=-1.0)
-        with pytest.raises(DomainError):
-            IntegratorConfig(rel_tol=0.0)
-        with pytest.raises(DomainError):
-            IntegratorConfig(max_steps=0)
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("rel_tol", 0.0), ("rel_tol", math.nan), ("rel_tol", math.inf),
+            ("t_max", -1.0), ("t_max", math.inf),
+            ("max_steps", 0),
+            ("energy_drift_limit", 0.0), ("energy_drift_limit", math.nan),
+            ("escape_radius", -1.0), ("escape_radius", math.inf),
+            ("escape_y_span", 0.0), ("escape_y_span", math.nan),
+        ],
+    )
+    def test_config_validation(self, name, value):
+        with pytest.raises(DomainError, match=name):
+            IntegratorConfig(**{name: value})
 
     def test_overflowing_start_rejected(self):
         with pytest.raises((DomainError, NonFiniteStateError, OverflowError)):
