@@ -18,12 +18,23 @@ Exit codes: 0 success, 1 usage or config error, 2 numerical failure,
 
 Numeric output uses shortest round-trip decimal formatting, so identical
 configs produce byte-identical files.
+
+``sweep-e2`` rows and the 4096-row blocks of a trajectory CSV run through one
+helper, ``_pool_map``: one worker process per job, at most one per usable
+CPU, and no pool for one job or one CPU.  The pool takes the platform's
+default start method; under spawn or forkserver (Python 3.14's default on
+Linux) each pool start pays an import of the package per worker.  A sweep
+row is worth that import, a CSV block is not: the blocks use the pool only
+where it forks (the default start method is fork and this process is not
+daemonic) and for at least two blocks, and are formatted in process
+otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -73,10 +84,10 @@ TAU_SCALE = 16.0
 TMAX_FLOOR = 200.0
 
 # A step's energy error, measured in z, grows as 1/|w|^2 on a whip's pass
-# near w = 0.  Over the 27 table rows it peaks at 3.38e-7 (E2 = 1.0, 29,538
-# steps; 2.14e-7 at 1.2, 3.64e-8 at 0.3), over the eight well-pair map runs
-# at t = 340 at 3.44e-8 ((zeta, M) = (1.0, 4), 24,507 steps).  A limit of
-# 1e-6 would leave a margin of only 3.0x; the relaxed guard keeps such rows
+# near w = 0.  Over the 27 table rows it peaks at 6.46e-7 (E2 = 1.0, 9,259
+# steps; 2.68e-7 at 1.2, 3.84e-8 at 0.3), over the eight well-pair map runs
+# at t = 340 at 5.35e-8 ((zeta, M) = (1.0, 4), 7,040 steps).  A limit of
+# 1e-6 would leave a margin of only 1.5x; the relaxed guard keeps such rows
 # and still catches real blow-ups.
 TUNNELING_DRIFT_LIMIT = 1e-3
 TUNNELING_ESCAPE_RADIUS = 12.0
@@ -176,14 +187,41 @@ def _classification_payload(oc: OrbitClass) -> dict:
     return out
 
 
+def _csv_rows(cols: tuple) -> str:
+    """The trajectory CSV rows of one block of columns, each value its shortest round-trip repr."""
+    rows = zip(*(c.tolist() for c in cols))
+    return "".join(f"{t!r},{x!r},{y!r},{u!r},{v!r},{e!r},{f!r}\n" for t, x, y, u, v, e, f in rows)
+
+
+# Below two blocks a forked pool costs more than it saves: writing the head of
+# the tunneling figure on two CPUs took 17.4 ms against 15.7 ms in process at
+# 6,144 rows, and 18.5 ms against 21.2 ms at 8,192.
+_CSV_BLOCK_ROWS = 4096
+_CSV_POOL_ROWS = 2 * _CSV_BLOCK_ROWS
+
+
+def _forks_workers() -> bool:
+    """Whether a pool started here forks its workers: the default start method is
+    fork, and this process is not daemonic (a daemon may have no children)."""
+    method = multiprocessing.get_start_method(allow_none=True) or multiprocessing.get_all_start_methods()[0]
+    return method == "fork" and not multiprocessing.current_process().daemon
+
+
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
+    """Write the samples as CSV: the header, then blocks of 4096 rows in order.
+
+    Float ``repr`` is most of the cost, so ``_pool_map`` formats the blocks, one
+    worker per block up to the usable CPUs, for at least two blocks and where a
+    pool forks; otherwise in this process.  The bytes do not depend on the workers.
+    """
     err1, err2 = traj.energy_component_errors()
     cols = (traj.t, traj.z.real, traj.z.imag, traj.p.real, traj.p.imag, err1, err2)
+    n = _CSV_BLOCK_ROWS
+    blocks = [tuple(c[i : i + n] for c in cols) for i in range(0, len(traj), n)]
+    pooled = len(traj) >= _CSV_POOL_ROWS and _forks_workers()
     with open(path, "w") as fh:
         fh.write("t,re_z,im_z,re_p,im_p,e1_err,e2_err\n")
-        for i in range(0, len(traj), 4096):  # 4096 rows at a time: tolist() makes a float object per value
-            rows = zip(*(c[i : i + 4096].tolist() for c in cols))
-            fh.writelines(f"{t!r},{x!r},{y!r},{u!r},{v!r},{e!r},{f!r}\n" for t, x, y, u, v, e, f in rows)
+        fh.writelines(_pool_map(_csv_rows, blocks, None if pooled else 1))
 
 
 def write_events_jsonl(crossings: list[CrossingEvent], oc: OrbitClass, path: str) -> None:
@@ -295,6 +333,17 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _pool_map(fn, jobs: list, workers: int | None = None) -> list:
+    """``[fn(job) for job in jobs]`` in order: in this process for one worker or one
+    job, else on a pool of ``workers``, by default one per job up to the usable CPUs."""
+    if workers is None:
+        workers = min(len(jobs), _usable_cpus())
+    if workers <= 1 or len(jobs) == 1:
+        return [fn(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs))
+
+
 def cmd_sweep_e2(
     params: SystemParams,
     e1: float,
@@ -314,13 +363,7 @@ def cmd_sweep_e2(
     if not (all(e2 > 0 for e2 in e2_list) or all(e2 < 0 for e2 in e2_list)):
         raise DomainError("E2 values must all have the same sign")
     jobs = [(params.zeta, params.m_int, e1, e2, run_preset(complex(e1, e2), t_max)) for e2 in e2_list]
-    if workers is None:
-        workers = min(len(jobs), _usable_cpus())
-    if workers <= 1 or len(jobs) == 1:
-        rows = [_sweep_row(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row, jobs))
+    rows = _pool_map(_sweep_row, jobs, workers)
     if out_path:
         write_sweep_csv(rows, out_path)
     return rows

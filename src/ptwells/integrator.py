@@ -15,11 +15,12 @@ exact up to rounding.  P and P' come from their Laurent series (DLMF 23.9,
 step length; a series that has not converged within its term budget, at a
 length near or beyond its radius, raises NonFiniteStateError.
 
-The step length is h = min(1/12, 0.52 / l) (rel_tol / 1e-10)^(1/8), with
-l = max(|g2|^(1/4), |g3|^(1/6)) the inverse length scale of the period
+The step length is h = min(1/12, 0.52 / l) min(1, (rel_tol / 1e-10)^(1/8)),
+with l = max(|g2|^(1/4), |g3|^(1/6)) the inverse length scale of the period
 lattice: h l = 0.52, four times the median step of an adaptive DOP853 run at
 rel_tol 1e-10 on the zeta = 0.1 orbits, lies well inside the series' radius.
-The steps and the samples are exact: ``rel_tol`` sets the samples'
+A rel_tol above 1e-10 keeps that length, since a longer step would near the
+radius.  The steps and the samples are exact: ``rel_tol`` sets the samples'
 resolution, not a truncation error, and bounds the projection below.
 Every step length is h_max / 2^j, and t is h_max times the exact sum of
 the 2^-j, so the step ends carry the orbit's time to one rounding.  At
@@ -122,8 +123,9 @@ class IntegratorConfig:
     """Settings of one run of :func:`integrate`.
 
     ``rel_tol`` sets the step length h_max, as (rel_tol / 1e-10)^(1/8) times the
-    length at 1e-10, so the sample spacing, and the largest projection of a step
-    end onto the shell that is applied, rel_tol (|x| + 1e-2) for x = w or w'.
+    length at 1e-10 below 1e-10 and that length above, so the sample spacing,
+    and the largest projection of a step end onto the shell that is applied,
+    rel_tol (|x| + 1e-2) for x = w or w'.
     The run ends at ``t_max``, after ``max_steps`` steps (accepted and
     rejected), at the first step whose energy error exceeds
     ``energy_drift_limit`` (``Termination.DRIFT_EXCEEDED``), or where |Re z|
@@ -341,7 +343,7 @@ def chart_step(q, w: complex, v: complex, a: complex, qw: complex, pk: tuple[com
 
 
 # the step length at rel_tol 1e-10: h l = 0.52, with l = max(|g2|^(1/4), |g3|^(1/6)) the
-# lattice's inverse length scale, but at most 1/12; it scales as rel_tol^(1/8)
+# lattice's inverse length scale, but at most 1/12; it scales as rel_tol^(1/8) below 1e-10
 _H_LATTICE = 0.52
 _H_MAX = 1.0 / 12.0
 # largest change of ln w, real or imaginary, in one accepted step
@@ -431,7 +433,7 @@ def integrate(
     y0 = z0.imag
     phase, inf = cmath.phase, math.inf
     ell = max(abs(g2) ** 0.25, abs(g3) ** (1.0 / 6.0))
-    h_max = (min(_H_MAX, _H_LATTICE / ell) if ell else _H_MAX) * (rtol / 1e-10) ** 0.125
+    h_max = (min(_H_MAX, _H_LATTICE / ell) if ell else _H_MAX) * min(1.0, (rtol / 1e-10) ** 0.125)
     constants: dict[float, tuple] = {}  # step_constants by step length
     table = _SampleConstants(laurent_coefficients(g2, g3), h_max)  # table.c: the run's Laurent coefficients
 

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import pathlib
 import runpy
 import subprocess
@@ -206,6 +207,60 @@ class TestTrajectoryCsv:
             )
         cli.write_trajectory_csv(traj, str(tmp_path / "traj.csv"))
         assert (tmp_path / "traj.csv").read_bytes() == "".join(ref).encode()
+
+    def test_bytes_do_not_depend_on_the_pool(self, fig_tunneling, monkeypatch, tmp_path):
+        # 15 blocks of 4096 rows: formatted in this process on one CPU, by two workers on two
+        assert len(fig_tunneling) > 2 * 4096
+        monkeypatch.setattr(cli, "_forks_workers", lambda: True)
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            cli.write_trajectory_csv(fig_tunneling, str(tmp_path / f"cpus{cpus}.csv"))
+        assert (tmp_path / "cpus1.csv").read_bytes() == (tmp_path / "cpus2.csv").read_bytes()
+
+    @pytest.mark.parametrize("rows,pooled", [(8191, False), (8192, True)])
+    def test_short_trajectory_starts_no_pool(self, rows, pooled, fig_closed, monkeypatch, tmp_path):
+        # the pool pays from two full blocks on
+        head = replace(
+            fig_closed, t=fig_closed.t[:rows], z=fig_closed.z[:rows], p=fig_closed.p[:rows], drift=fig_closed.drift[:rows]
+        )
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "_forks_workers", lambda: True)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _no_pool)
+        path = tmp_path / "head.csv"
+        if pooled:
+            with pytest.raises(RuntimeError, match="pool started"):
+                cli.write_trajectory_csv(head, str(path))
+        else:
+            cli.write_trajectory_csv(head, str(path))
+            assert len(path.read_text().splitlines()) == 1 + rows
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_no_pool_without_fork(self, method, fig_closed, monkeypatch, tmp_path):
+        # a worker that must import the package costs about what its block saves
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli.multiprocessing, "get_start_method", lambda allow_none=False: method)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _no_pool)
+        cli.write_trajectory_csv(fig_closed, str(tmp_path / "traj.csv"))
+        assert len((tmp_path / "traj.csv").read_text().splitlines()) == 1 + len(fig_closed)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+    def test_daemonic_caller_writes_in_process(self, fig_closed, monkeypatch, tmp_path):
+        # a daemonic process, say a multiprocessing.Pool task, may have no children
+        assert len(fig_closed) > 2 * 4096
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        child = multiprocessing.get_context("fork").Process(
+            target=cli.write_trajectory_csv, args=(fig_closed, str(tmp_path / "daemon.csv")), daemon=True
+        )
+        child.start()
+        child.join(timeout=60)
+        assert not child.is_alive() and child.exitcode == 0
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        cli.write_trajectory_csv(fig_closed, str(tmp_path / "serial.csv"))
+        assert (tmp_path / "daemon.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
+def _no_pool(*args, **kwargs):
+    raise RuntimeError("pool started")
 
 
 class TestSweepCommand:

@@ -238,6 +238,29 @@ class TestIntegrate:
         back = integrate(z1, -p1, IntegratorConfig(t_max=20.0), P)
         assert abs(complex(back.z[-1]) - z0) <= 1e-6
 
+    def test_loose_rel_tol_keeps_the_closed_start(self, fig_closed):
+        # above rel_tol 1e-10 the step keeps its 1e-10 length: at 1e-5 it grew 4.2x,
+        # past the Laurent series' radius, and the first step raised NonFiniteStateError
+        c = well_center(WellIndex(Side.LEFT, 0), P)
+        z0 = complex(c.real, c.imag + 0.4740)
+        p0 = initial_momentum(z0, 0.8 + 0j, MomentumBranch.PRINCIPAL, P)
+        traj = integrate(z0, p0, IntegratorConfig(t_max=40.0, rel_tol=1e-5), P)
+        assert traj.termination is Termination.TIME_LIMIT and traj.t[-1] == 40.0
+        assert (traj.n_accepted, traj.n_rejected) == (fig_closed.n_accepted, fig_closed.n_rejected)
+        assert classify_orbit(traj).kind is OrbitKind.CLOSED
+
+    def test_loose_rel_tol_keeps_the_tunneling_run(self):
+        # (zeta, M) = (1.0, 4) at E = 1+i from the origin: with a step grown by
+        # (1e-6 / 1e-10)^(1/8) = 3.2x the drift passed the preset's 1e-3 limit at t = 12.76
+        params = SystemParams(1.0, 4)
+        p0 = initial_momentum(0j, 1 + 1j, MomentumBranch.PRINCIPAL, params)
+        cfg = run_preset(1 + 1j, 60.0)
+        traj = integrate(0j, p0, replace(cfg, rel_tol=1e-6), params)
+        ref = integrate(0j, p0, cfg, params)
+        assert traj.termination is Termination.TIME_LIMIT and traj.t[-1] == 60.0
+        assert traj.max_drift <= 1e-7
+        assert (traj.n_accepted, traj.n_rejected) == (ref.n_accepted, ref.n_rejected)
+
     @pytest.mark.parametrize(
         "name,value",
         [
@@ -409,11 +432,10 @@ class TestChartStep:
             assert abs(dpx - dp1) <= 2e-15 * abs(dp1)
 
     def test_step_beyond_the_series_radius_raises(self):
-        # at rel_tol 100 the step length is 2.64, beyond this orbit's period
-        # omega_A = 0.548, a point of the lattice: the Laurent series of the
-        # Weierstrass function diverges there, and the run raises, not returning an orbit
-        c = well_center(WellIndex(Side.LEFT, 0), P)
-        z0 = complex(c.real, c.imag + 0.474)
-        p0 = initial_momentum(z0, 0.8 + 0j, MomentumBranch.PRINCIPAL, P)
+        # a step of 2.64 lies beyond the period omega_A = 0.548 of the E = 0.8 orbits,
+        # a point of the lattice: the Laurent series of the Weierstrass function
+        # diverges there, and the step's constants raise, not returning a state.
+        # integrate no longer takes such a step (test_loose_rel_tol_keeps_the_closed_start)
+        c = integrator.laurent_coefficients(*integrator.chart_invariants(chart_coefficients(P, 0.8 + 0j)))
         with pytest.raises(NonFiniteStateError, match="did not converge"):
-            integrate(z0, p0, IntegratorConfig(t_max=10.0, rel_tol=100.0), P)
+            integrator.step_constants(2.64, c)
