@@ -48,7 +48,7 @@ def main() -> None:
                 f"left n={n:+d} direction={direction:+d}: critical offset {res.offset:.6f} "
                 f"(bracket [{res.closed_offset:.6f}, {res.open_offset:.6f}], "
                 f"{res.n_probes} probes, {sum(steps[n_before:])} steps, "
-                f"worst drift {res.max_probe_drift:.1e})"
+                f"worst drift {max(d for d, _ in res.probe_drifts):.1e})"
             )
     same = sum(offset == sep for offset in offsets)
     print(

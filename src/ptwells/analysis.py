@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import SystemParams, chart_coefficients, chart_flow
+from .dynamics import SystemParams, chart_accel, chart_coefficients
 from .errors import (
     AmbiguousOrbitError,
     BracketingError,
@@ -383,7 +383,6 @@ class BoundaryResult:
     closed_offset: float
     open_offset: float
     n_probes: int
-    max_probe_drift: float
     # (max_drift, drift_floor_rss) of every probe integration
     probe_drifts: tuple[tuple[float, float], ...]
 
@@ -405,7 +404,7 @@ def separatrix_offset(params: SystemParams, energy_real: float) -> float:
     coeffs = laurent_coefficients(*chart_invariants(q))
     r_w = math.exp(-2.0 * well_x(params))
     v0 = complex(2.0 * params.zeta)
-    a, qw = chart_flow(params, energy)(0j)
+    a, qw = chart_accel(q, 0j)
     t = r_w / v0.real
     for _ in range(_LEAF_NEWTON):
         w, v = chart_step(q, 0j, v0, a, qw, step_constants(t, coeffs))[:2]
@@ -464,7 +463,6 @@ def closed_orbit_boundary(
         closed_offset=lo,
         open_offset=hi,
         n_probes=len(runs),
-        max_probe_drift=max(traj.max_drift for traj in runs),
         probe_drifts=tuple((traj.max_drift, traj.drift_floor_rss) for traj in runs),
     )
 

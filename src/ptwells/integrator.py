@@ -1,7 +1,7 @@
 """Integration of Hamilton's equations in the complex plane by the exact flow map.
 
 H = p^2 + V(z) is integrated in the exponential charts of
-``dynamics.chart_flow``, w = e^{2z} left of the imaginary axis and
+``dynamics.chart_accel``, w = e^{2z} left of the imaginary axis and
 w = e^{-2z} right of it, where the flow is the polynomial w'' = 2 Q'(w)
 and Re z = -/+inf is the regular point w = 0.  The whips of the paper's
 orbits, out to Re z ~ -7 where the cosh flow is exponentially steep, are
@@ -11,9 +11,10 @@ Analysis*, 20.6): w(t0 + h) is a rational function of w(t0), w'(t0) and the
 Weierstrass function P(h) and P'(h) on the invariants g2, g3 of f
 (:func:`chart_invariants`).  Each step is that map, :func:`chart_step`,
 exact up to rounding.  P and P' come from their Laurent series (DLMF 23.9,
-:func:`weierstrass_p`), whose coefficients a run sums once, and are cached by
-step length; a series that has not converged within its term budget, at a
-length near or beyond its radius, raises NonFiniteStateError.
+:func:`weierstrass_p`), whose coefficients a run sums once; a series that
+has not converged within its term budget, at a length near or beyond its
+radius, raises NonFiniteStateError.  A run keeps one table by step length,
+of the :func:`step_constants` of the step and then of its samples (below).
 
 The step length is h = min(1/12, 0.52 / l) min(1, (rel_tol / 1e-10)^(1/8)),
 with l = max(|g2|^(1/4), |g3|^(1/6)) the inverse length scale of the period
@@ -70,13 +71,14 @@ from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import SystemParams, chart_coefficients, chart_flow, flow, hamiltonian, potential
-from .dynamics import potential_array
+from .dynamics import SystemParams, chart_accel, chart_coefficients, hamiltonian, potential
+from .dynamics import potential_array, potential_gradient
 from .errors import DomainError, NonFiniteStateError
 
 __all__ = [
@@ -219,8 +221,7 @@ def initial_momentum(
 
 def derivative(state: PhaseState, params: SystemParams) -> tuple[complex, complex]:
     """Right-hand side (dz/dt, dp/dt) of Hamilton's equations."""
-    dz, dp, _ = flow(params)(state.z, state.p)
-    return dz, dp
+    return 2.0 * state.p, -potential_gradient(state.z, params)
 
 
 _EPS = 2.220446049250313e-16
@@ -318,7 +319,7 @@ def chart_step(q, w: complex, v: complex, a: complex, qw: complex, pk: tuple[com
     """The exact flow map of w'^2 = 4 Q(w) over one step, on Q's coefficients ``q``
     (``dynamics.chart_coefficients``): from (w, w'), where w'' = a and Q(w) = qw, with
     ``pk`` the :func:`step_constants` of the step length, the new w, w', w'' = 2 Q'(w)
-    and Q(w), the last two in Horner form.
+    and Q(w), the last two by ``dynamics.chart_accel``.
 
     With f = 4Q, sigma = f''(w)/24, s = P - sigma, N = -w' P' + f'(w) s/2 + f(w) f'''(w)/24
     and D = 2 s^2 - f(w) f''''(w)/48, the new w is w + N/D (Whittaker & Watson, 20.6).
@@ -326,7 +327,7 @@ def chart_step(q, w: complex, v: complex, a: complex, qw: complex, pk: tuple[com
     its terms in w' P'^2, whose leading orders in the step length cancel, are summed as
     w' (2 s (K + sigma P'') + f(w) f''''(w)/48 P''), by the curve.
     """
-    q0, q1, q2, q3, q4 = q
+    _, _, q2, q3, q4 = q
     p, dp, ddp, k = pk
     sig = (2.0 * q4 * w + q3) * w + q2 / 3.0
     gam = 4.0 * qw * (4.0 * q4 * w + q3)  # f f'''/24
@@ -337,9 +338,7 @@ def chart_step(q, w: complex, v: complex, a: complex, qw: complex, pk: tuple[com
     r = 1.0 / (2.0 * ss - bf)
     wn = w + n * r
     vn = (v * (2.0 * s * (k + sig * ddp) + bf * ddp) - dp * (a * (2.0 * ss + bf) + 4.0 * s * gam)) * r * r
-    an = ((8.0 * q4 * wn + 6.0 * q3) * wn + 4.0 * q2) * wn + 2.0 * q1
-    qn = (((q4 * wn + q3) * wn + q2) * wn + q1) * wn + q0
-    return wn, vn, an, qn
+    return wn, vn, *chart_accel(q, wn)
 
 
 # the step length at rel_tol 1e-10: h l = 0.52, with l = max(|g2|^(1/4), |g3|^(1/6)) the
@@ -362,40 +361,29 @@ _MERGE_BLOCKS = 16  # emitted blocks merged at a time
 _THETA = {n: np.arange(1, n + 1) / n for n in range(MIN_SAMPLES_PER_STEP, SAMPLES_PER_STEP + 1, MIN_SAMPLES_PER_STEP)}
 
 
-class _SampleConstants:
-    """Theta and the :func:`step_constants` at theta h of the samples of each step length h
-    of a run, as the rows of one array; the lengths new to a block take one array call."""
-
-    def __init__(self, c: list[complex], h_max: float) -> None:
-        self.c, self.h_max, self.rows = c, h_max, np.empty((5, 0), complex)
-        self.index: dict[float, np.ndarray] = {}  # step length -> its samples' columns
-
-    def gather(self, h: list[float]) -> tuple[list[int], np.ndarray]:
-        """The samples per step of the lengths ``h``, and the rows of each sample."""
-        new = [x for x in dict.fromkeys(h) if x not in self.index]
-        if new:
-            # the last step's length may exceed its scale by a rounding
-            counts = [min(SAMPLES_PER_STEP, MIN_SAMPLES_PER_STEP * math.ceil(4.0 * x / self.h_max)) for x in new]
-            theta = np.concatenate([_THETA[n] for n in counts])
-            columns = np.arange(self.rows.shape[1], self.rows.shape[1] + len(theta))
-            for x, n in zip(new, counts):
-                self.index[x], columns = columns[:n], columns[n:]
-            pk = step_constants(theta * np.repeat(new, counts), self.c)
-            self.rows = np.concatenate([self.rows, [theta, *pk]], axis=1)
-        columns = [self.index[x] for x in h]
-        return [len(x) for x in columns], self.rows[:, np.concatenate(columns)]
-
-
-def _emit(steps: list, q, table: _SampleConstants) -> tuple[np.ndarray, ...]:
+def _emit(steps: list, q, table: dict[float, list], coeffs: list[complex], h_max: float) -> tuple[np.ndarray, ...]:
     """The samples of a block of accepted steps.
 
     Each row of ``steps`` is (t, h, c, k, w0, w0', w0'', Q(w0), w, drift) of one step: its
     end time, length, chart and turn count at the end, its start in its own chart and the
     end's w.  A sample is :func:`chart_step` from the start over theta h, mapped to (z, p)
-    with the step's chart and turns.  Returns t, z, p, drift and the floor of each sample.
+    with the step's chart and turns.  ``table`` maps a step length to its :func:`step_constants`,
+    then its samples' (theta, P, P', P'', K) rows, which the lengths new to the block get here
+    in one array call on ``coeffs``.  Returns t, z, p, drift and the floor of each sample.
     """
     s = np.array(steps, dtype=complex).T
-    n, (theta, *pk) = table.gather([row[1] for row in steps])
+    lengths = [row[1] for row in steps]
+    new = [x for x in dict.fromkeys(lengths) if len(table[x]) == 1]
+    if new:
+        # the last step's length may exceed its scale by a rounding
+        counts = [min(SAMPLES_PER_STEP, MIN_SAMPLES_PER_STEP * math.ceil(4.0 * x / h_max)) for x in new]
+        theta = np.concatenate([_THETA[n] for n in counts])
+        rows = np.array([theta, *step_constants(theta * np.repeat(new, counts), coeffs)])
+        for x, end, n in zip(new, itertools.accumulate(counts), counts):
+            table[x].append(rows[:, end - n : end])
+    parts = [table[x][1] for x in lengths]
+    n = [x.shape[1] for x in parts]
+    theta, *pk = np.concatenate(parts, axis=1)
     w, v, a, _ = chart_step(q, *np.repeat(s[4:8], n, axis=1), pk)
     t1, h, c, k, drift, ph1 = np.repeat(np.concatenate([s[[0, 1, 2, 3, 9]].real, np.angle(s[8:9])]), n, axis=1)
     aw = np.abs(w)
@@ -424,7 +412,6 @@ def integrate(
 
     q = chart_coefficients(params, e0)
     g2, g3 = chart_invariants(q)
-    accel = chart_flow(params, e0)
     e_scale = max(1.0, abs(e0))
     rtol, t_max, max_steps = config.rel_tol, config.t_max, config.max_steps
     atol = rtol / 100.0  # the projection's bound is rtol (|x| + 1e-2), x = w or w'
@@ -434,8 +421,8 @@ def integrate(
     phase, inf = cmath.phase, math.inf
     ell = max(abs(g2) ** 0.25, abs(g3) ** (1.0 / 6.0))
     h_max = (min(_H_MAX, _H_LATTICE / ell) if ell else _H_MAX) * min(1.0, (rtol / 1e-10) ** 0.125)
-    constants: dict[float, tuple] = {}  # step_constants by step length
-    table = _SampleConstants(laurent_coefficients(g2, g3), h_max)  # table.c: the run's Laurent coefficients
+    coeffs = laurent_coefficients(g2, g3)
+    table: dict[float, list] = {}  # step length -> [its step_constants, its samples' rows (_emit)]
 
     t, z, p = 0.0, complex(z0), complex(p0)
     chunks = [(np.array([t]), np.array([z]), np.array([p]), np.zeros(1))]
@@ -448,7 +435,7 @@ def integrate(
         nonlocal floor_sq
         if not steps:
             return
-        *block, floor = _emit(steps, q, table)
+        *block, floor = _emit(steps, q, table, coeffs, h_max)
         steps.clear()
         blocks.append(tuple(block))
         floor_sq += float(np.dot(floor, floor))
@@ -460,7 +447,7 @@ def integrate(
     c = 1.0 if z.real <= 0.0 else -1.0
     w = cmath.exp(2.0 * c * z)
     v = 4.0 * c * p * w
-    a, qw = accel(w)
+    a, qw = chart_accel(q, w)
     aw = abs(w)
     ph = phase(w)
     k = round((2.0 * c * z.imag - ph) / _TWO_PI)
@@ -477,10 +464,10 @@ def integrate(
         last_step = t_end >= t_max
         h = t_max - t if last_step else scale * h_max
 
-        pk = constants.get(h)
-        if pk is None:
-            pk = constants[h] = step_constants(h, table.c)
-        wn, vn, an, qn = chart_step(q, w, v, a, qw, pk)
+        entry = table.get(h)
+        if entry is None:
+            entry = table[h] = [step_constants(h, coeffs)]
+        wn, vn, an, qn = chart_step(q, w, v, a, qw, entry[0])
         awn, avn = abs(wn), abs(vn)
         if not (0.0 < awn < inf and avn < inf):
             raise NonFiniteStateError(f"state leaves the chart at t={t!r}: w={wn!r}, w'={vn!r}")
@@ -533,7 +520,7 @@ def integrate(
             aw = abs(w)
             ph = phase(w)
             k = round((2.0 * c * y - ph) / _TWO_PI)
-            a, qw = accel(w)
+            a, qw = chart_accel(q, w)
         scale = min(2.0 * scale, 1.0)
 
     flush()

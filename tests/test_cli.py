@@ -162,6 +162,14 @@ class TestSimulateCommand:
         ]
         assert main(args) == EXIT_AMBIGUOUS
 
+    @pytest.mark.parametrize("x", ["200", "400"])
+    def test_overflowing_start_is_a_numerical_failure(self, x, capsys):
+        # at Re z = 200 cosh(2z) is finite but the potential overflows: the same
+        # failure as at 400, where cosh overflows
+        args = ["simulate", "--zeta", "0.1", "--M", "3", "--e", "0.8", "--start", f"point:{x},0.3", "--t-max", "1"]
+        assert main(args) == EXIT_NUMERICAL
+        assert "numerical failure: state overflow" in capsys.readouterr().err
+
     def test_open_start_escapes(self, capsys):
         # a real-energy open orbit keeps Re z bounded on its way down the well
         # column; it ends by leaving its start's cell

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +27,7 @@ from ptwells import (
 )
 from ptwells import integrator
 from ptwells.cli import run_preset
-from ptwells.dynamics import chart_coefficients, chart_flow
+from ptwells.dynamics import chart_accel, chart_coefficients, potential
 from ptwells.integrator import MIN_SAMPLES_PER_STEP
 
 P = SystemParams(0.1, 3)
@@ -199,20 +200,16 @@ class TestIntegrate:
         assert unbounded.n_accepted == n and np.array_equal(unbounded.t, traj.t)
 
     def test_kernel_is_called_only_where_the_loop_enters_a_chart(self, monkeypatch):
-        # the flow map evaluates w'' and Q at the new point inline from Q's
-        # coefficients: the scalar kernel runs once at the start and once per chart change
+        # the flow map evaluates w'' and Q at the new point itself: the loop calls
+        # the kernel once at the start and once per chart change
         calls = []
 
-        def counting_chart_flow(params, energy):
-            kernel = chart_flow(params, energy)
-
-            def counted(w):
+        def counting_chart_accel(q, w):
+            if sys._getframe(1).f_code is integrate.__code__:
                 calls.append(w)
-                return kernel(w)
+            return chart_accel(q, w)
 
-            return counted
-
-        monkeypatch.setattr(integrator, "chart_flow", counting_chart_flow)
+        monkeypatch.setattr(integrator, "chart_accel", counting_chart_accel)
         p0 = initial_momentum(0j, 1 + 1j, MomentumBranch.PRINCIPAL, P)
         traj = integrate(0j, p0, IntegratorConfig(t_max=80.0), P)
         assert traj.termination is Termination.TIME_LIMIT
@@ -275,6 +272,22 @@ class TestIntegrate:
     def test_config_validation(self, name, value):
         with pytest.raises(DomainError, match=name):
             IntegratorConfig(**{name: value})
+
+    @pytest.mark.parametrize("x", [-400.0, -200.0, 200.0, 400.0])
+    def test_overflowing_kernels_raise(self, x):
+        # cmath.cosh(2z) is finite up to |Re z| ~ 355, the potential's square
+        # and the gradient's product only up to about half that
+        z = complex(x, 0.3)
+        kernels = [
+            lambda: potential(z, P),
+            lambda: potential_gradient(z, P),
+            lambda: hamiltonian(z, 1j, P),
+            lambda: initial_momentum(z, 0.8 + 0j, MomentumBranch.PRINCIPAL, P),
+            lambda: derivative(PhaseState(0.0, z, 1j), P),
+        ]
+        for kernel in kernels:
+            with pytest.raises(NonFiniteStateError, match="overflow"):
+                kernel()
 
     def test_overflowing_start_rejected(self):
         with pytest.raises((DomainError, NonFiniteStateError, OverflowError)):
