@@ -56,6 +56,7 @@ __all__ = [
     "tunnel_well_pair",
     "classify_orbit",
     "closed_orbit_boundary",
+    "run_preset",
     "separatrix_offset",
     "spiral_chirality",
     "spiral_windows",
@@ -72,13 +73,36 @@ _LEAF_NEWTON = 16
 # period.  A closed orbit at real energy stays within 1.31 of its start's Im z.
 CELL_EXIT_SPAN = 0.5 * math.pi
 
-# Boundary-probe preset: closed_orbit_boundary runs it to one real period,
-# and an open probe ends at the exit from its start's cell.
-PROBE_CONFIG = IntegratorConfig(escape_radius=25.0, escape_y_span=CELL_EXIT_SPAN, energy_drift_limit=0.05)
+# Expected dwell-average scale: tau ~ TAU_SCALE / E2 (the observed product
+# E2 * tau stays near 16); tunneling horizons default to 40 expected taus.
+TAU_SCALE = 16.0
+
+# The escape radius at complex energy.  The whips of the 27 table rows, the
+# eight well-pair map runs and the E = 1 - i figure reach |Re z| = 6.955 at most.
+TUNNELING_ESCAPE_RADIUS = 12.0
 
 # Distance in (z, p), as a 4-real-vector, within which a real-energy run is back at its start
 # after one real period: a closed orbit to rounding (9.2e-15 on the closed figure), an open one i pi off.
 RETURN_TOL = 1e-8
+
+
+def default_t_max(energy: complex) -> float:
+    if energy.imag == 0:
+        return IntegratorConfig.t_max
+    return max(IntegratorConfig.t_max, 40.0 * TAU_SCALE / abs(energy.imag))
+
+
+def run_preset(energy: complex, t_max: float | None = None) -> IntegratorConfig:
+    """The integrator config of every run at ``energy``: ``IntegratorConfig``'s guards,
+    to ``t_max`` when given, else to ``default_t_max(energy)``.  At real energy a run
+    also escapes when it leaves its start's lattice cell (an open orbit there runs down
+    the well column with Re z bounded); at complex energy the escape radius is
+    ``TUNNELING_ESCAPE_RADIUS``.
+    """
+    t_max = default_t_max(energy) if t_max is None else t_max
+    if energy.imag == 0:
+        return IntegratorConfig(t_max=t_max, escape_y_span=CELL_EXIT_SPAN)
+    return IntegratorConfig(t_max=t_max, escape_radius=TUNNELING_ESCAPE_RADIUS)
 
 
 class CrossingDirection(enum.Enum):
@@ -318,21 +342,21 @@ def _return_miss(traj: Trajectory, z, p):
 def _closed_period(traj: Trajectory) -> float | None:
     """The period of a closed orbit, or None if the run shows none.
 
-    0.0 for a run that never leaves the ball of radius ``RETURN_TOL`` about its
-    start (an equilibrium).  Otherwise the real period omega_R of the run's
-    lattice (``integrator.real_period``), if the state at t = omega_R, one exact
-    step from the last sample at or before it, lies within ``RETURN_TOL`` of the
-    start.  A run shorter than omega_R, or on a lattice with no finite real
-    period, shows none.
+    A run shorter than the real period omega_R of its lattice
+    (``integrator.real_period``), or on a lattice with no finite real period,
+    shows none.  Otherwise 0.0 for a run that never leaves the ball of radius
+    ``RETURN_TOL`` about its start (an equilibrium), else omega_R if the state
+    at t = omega_R, one exact step from the last sample at or before it, lies
+    within ``RETURN_TOL`` of the start.
     """
-    if np.all(_return_miss(traj, traj.z, traj.p) <= RETURN_TOL):
-        return 0.0
     try:
         period = real_period(*chart_invariants(chart_coefficients(traj.params, traj.energy)))
     except DomainError:
         return None
     if traj.t[-1] < period:
         return None
+    if np.all(_return_miss(traj, traj.z, traj.p) <= RETURN_TOL):
+        return 0.0
     i = int(np.searchsorted(traj.t, period, side="right")) - 1
     z, p, h = complex(traj.z[i]), complex(traj.p[i]), period - float(traj.t[i])
     if h > 0.0:
@@ -426,17 +450,17 @@ def closed_orbit_boundary(
 
     The probes start at the well's x, ``BOUNDARY_WIDTH``/2 = 5e-5 below and above
     the separatrix in Im z (signed by ``direction``), and each integrates with
-    ``PROBE_CONFIG`` as it stands at the call, to one real period omega_R
-    (``integrator.real_period``).  The lower must end closed: at t = omega_R
-    (``TIME_LIMIT``), back within ``RETURN_TOL`` of its start.  The upper must
-    end open, leaving its cell (``ESCAPED``: Im z moves pi/2, on its first whip
-    down the well column).  Otherwise a BracketingError reports both; a probe
-    that ends by drift or step budget raises AmbiguousOrbitError.
+    ``run_preset`` to one real period omega_R (``integrator.real_period``).  The
+    lower must end closed: at t = omega_R (``TIME_LIMIT``), back within
+    ``RETURN_TOL`` of its start.  The upper must end open, leaving its cell
+    (``ESCAPED``: Im z moves pi/2, on its first whip down the well column).
+    Otherwise a BracketingError reports both; a probe that ends by drift or step
+    budget raises AmbiguousOrbitError.
     """
     if direction not in (-1, 1):
         raise DomainError(f"direction must be +1 or -1, got {direction!r}")
     sep = separatrix_offset(params, energy_real)
-    config = replace(PROBE_CONFIG, t_max=real_period(*chart_invariants(chart_coefficients(params, energy_real))))
+    config = run_preset(energy_real, real_period(*chart_invariants(chart_coefficients(params, energy_real))))
     center = well_center(idx, params)
     lo, hi = sep - 0.5 * BOUNDARY_WIDTH, sep + 0.5 * BOUNDARY_WIDTH
     runs: list[Trajectory] = []

@@ -7,11 +7,10 @@ config file (``--config``) may supply any flag value; explicit flags win.
 Its keys are the flag names with underscores for hyphens and ``m`` for
 ``--M`` (``t_max``, ``summary_out``); an unknown key is a config error,
 and each value is converted and checked as its flag's value is.
-Each subcommand runs one integrator preset (``run_preset`` for
-``simulate`` and each ``sweep-e2`` row, ``analysis.PROBE_CONFIG`` for
-``threshold``).  The one integrator setting is ``--t-max`` (key ``t_max``)
-of ``simulate`` and ``sweep-e2``, which replaces the preset's horizon;
-``threshold`` has none.
+Every run integrates on ``analysis.run_preset`` of its energy: ``simulate``,
+each ``sweep-e2`` row and the two ``threshold`` probes.  The one integrator
+setting is ``--t-max`` (key ``t_max``) of ``simulate`` and ``sweep-e2``, which
+replaces the preset's horizon; ``threshold`` has none.
 
 Exit codes: 0 success, 1 usage or config error, 2 numerical failure,
 3 ambiguous classification.
@@ -38,10 +37,10 @@ import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .analysis import (
-    CELL_EXIT_SPAN,
+    TUNNELING_ESCAPE_RADIUS,
     CrossingEvent,
     OrbitClass,
     OrbitKind,
@@ -49,6 +48,7 @@ from .analysis import (
     closed_orbit_boundary,
     detect_axis_crossings,
     measure_tunneling,
+    run_preset,
 )
 from .dynamics import SystemParams
 from .errors import (
@@ -78,19 +78,7 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_AMBIGUOUS = 3
 
-# Expected dwell-average scale: tau ~ TAU_SCALE / E2 (the observed product
-# E2 * tau stays near 16); tunneling horizons default to 40 expected taus.
-TAU_SCALE = 16.0
-TMAX_FLOOR = 200.0
-
-# A step's energy error, measured in z, grows as 1/|w|^2 on a whip's pass
-# near w = 0.  Over the 27 table rows it peaks at 6.46e-7 (E2 = 1.0, 9,259
-# steps; 2.68e-7 at 1.2, 3.84e-8 at 0.3), over the eight well-pair map runs
-# at t = 340 at 5.35e-8 ((zeta, M) = (1.0, 4), 7,040 steps).  A limit of
-# 1e-6 would leave a margin of only 1.5x; the relaxed guard keeps such rows
-# and still catches real blow-ups.
-TUNNELING_DRIFT_LIMIT = 1e-3
-TUNNELING_ESCAPE_RADIUS = 12.0
+TUNNELING_DRIFT_LIMIT = IntegratorConfig.energy_drift_limit  # read by the benchmark, as is TUNNELING_ESCAPE_RADIUS
 
 
 def parse_complex(text: str) -> complex:
@@ -148,27 +136,6 @@ def _resolve_start(spec: str, params: SystemParams) -> complex:
         except ValueError as exc:
             raise DomainError(f"bad start spec {spec!r} (want point:<re>,<im>)") from exc
     raise DomainError(f"bad start spec {spec!r}")
-
-
-def default_t_max(energy: complex) -> float:
-    if energy.imag == 0:
-        return TMAX_FLOOR
-    return max(TMAX_FLOOR, 40.0 * TAU_SCALE / abs(energy.imag))
-
-
-def run_preset(energy: complex, t_max: float | None = None) -> IntegratorConfig:
-    """Integrator preset of a run: bounded at real energy, tunneling otherwise.
-
-    It runs to ``t_max`` when given, else to ``default_t_max(energy)``.
-    A bounded run escapes when it leaves its start's lattice cell: an open
-    orbit at real energy runs down the well column with Re z bounded.  (The
-    third preset, for boundary probes, is ``analysis.PROBE_CONFIG``, run to one
-    real period, by which ``analysis.classify_orbit`` also reads a closed orbit.)
-    """
-    cfg = IntegratorConfig(t_max=default_t_max(energy) if t_max is None else t_max, max_steps=10_000_000)
-    if energy.imag == 0:
-        return replace(cfg, escape_y_span=CELL_EXIT_SPAN)
-    return replace(cfg, energy_drift_limit=TUNNELING_DRIFT_LIMIT, escape_radius=TUNNELING_ESCAPE_RADIUS)
 
 
 def _well_label(idx: WellIndex) -> dict:
@@ -360,6 +327,8 @@ def cmd_sweep_e2(
     """
     if not e2_list:
         raise DomainError("empty E2 list")
+    if 0.0 in e2_list:
+        raise DomainError("E2 = 0 is not a tunneling energy: every E2 must be nonzero")
     if not (all(e2 > 0 for e2 in e2_list) or all(e2 < 0 for e2 in e2_list)):
         raise DomainError("E2 values must all have the same sign")
     jobs = [(params.zeta, params.m_int, e1, e2, run_preset(complex(e1, e2), t_max)) for e2 in e2_list]

@@ -132,14 +132,21 @@ class IntegratorConfig:
     rejected), at the first step whose energy error exceeds
     ``energy_drift_limit`` (``Termination.DRIFT_EXCEEDED``), or where |Re z|
     exceeds ``escape_radius`` or |Im z - Im z0| exceeds ``escape_y_span``
-    (``Termination.ESCAPED``).
+    (``Termination.ESCAPED``).  The defaults are the guards of every run the
+    package makes; ``analysis.run_preset`` sets only the horizon and the escape
+    bounds by energy.
     """
 
     rel_tol: float = 1e-10
     t_max: float = 200.0
-    max_steps: int = 2_000_000
-    energy_drift_limit: float = 1e-8
-    escape_radius: float = 8.0
+    max_steps: int = 10_000_000
+    # A step's energy error, measured in z, grows as 1/|w|^2 on a whip's pass near w = 0:
+    # at most 6.46e-7 over the 27 table rows, 5.35e-8 over the eight well-pair map runs and
+    # 4.2e-7 over the 14 boundary searches' probes.  1e-6 would leave a margin of only 1.5x.
+    energy_drift_limit: float = 1e-3
+    # A closed orbit d below the separatrix whips about ln(1/d)/2 deep, past 8 at d = 3e-6
+    # (E = 0.8, zeta 0.1, M 3), and a further ln(0.1/zeta)/2 deep at smaller zeta.
+    escape_radius: float = 25.0
     # escape along the lattice: |Im z - Im z0| beyond this also terminates
     # as ESCAPED (open orbits at real energy flee down the well column
     # with bounded Re z); infinite by default

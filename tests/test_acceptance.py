@@ -69,7 +69,6 @@ from ptwells import (
     well_center,
 )
 from ptwells import integrator
-from ptwells.analysis import PROBE_CONFIG
 from ptwells.cli import RunConfig, cmd_sweep_e2, run_preset, run_simulation
 from ptwells.spectrum import ZETA_C_M3
 
@@ -453,7 +452,7 @@ def test_criterion_7_qualitative(map_runs):
 
     # (d) real energy never classifies as tunneling
     c = well_center(WellIndex(Side.LEFT, 0), P_MAIN)
-    cfg = replace(PROBE_CONFIG, t_max=30.0)
+    cfg = run_preset(0.8 + 0j, 30.0)
     for offset in (0.2, 0.4740, 0.52, 0.54, 0.6):
         z0 = complex(c.real, c.imag + offset)
         p0 = initial_momentum(z0, 0.8 + 0j, MomentumBranch.PRINCIPAL, P_MAIN)

@@ -37,7 +37,7 @@ from ptwells import (
     well_center,
 )
 from ptwells import analysis
-from ptwells.analysis import BOUNDARY_WIDTH, PROBE_CONFIG
+from ptwells.analysis import BOUNDARY_WIDTH, run_preset
 from ptwells.dynamics import chart_coefficients
 from ptwells.integrator import chart_invariants, real_period
 from ptwells.wells import lattice_y_array, well_x
@@ -172,6 +172,40 @@ class TestClassification:
         assert oc.kind is OrbitKind.CLOSED
         assert oc.period == 0.0
 
+    def test_run_that_keeps_only_its_start_is_no_equilibrium(self):
+        # a deep start whose first step exceeds the drift limit keeps one sample, its
+        # start: within RETURN_TOL of the start, yet no run of one real period
+        z0 = -7.5 + 0.3j
+        p0 = initial_momentum(z0, 0.8 + 0j, MomentumBranch.PRINCIPAL, P)
+        traj = integrate(z0, p0, IntegratorConfig(t_max=5.0, energy_drift_limit=1e-8), P)
+        assert len(traj) == 1 and traj.termination is Termination.DRIFT_EXCEEDED
+        with pytest.raises(AmbiguousOrbitError):
+            classify_orbit(traj)
+
+    @pytest.mark.parametrize("n", range(-3, 4))
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_near_separatrix_start_is_closed(self, n, direction):
+        # 0.5297, 9.5e-5 inside the separatrix: its whip reaches Re z = -6.41, where a
+        # step's energy error, measured in z, peaks at 3.0e-7
+        c = well_center(WellIndex(Side.LEFT, n), P)
+        z0 = complex(c.real, c.imag + direction * 0.5297)
+        traj = integrate(z0, initial_momentum(z0, 0.8 + 0j, MomentumBranch.PRINCIPAL, P), run_preset(0.8), P)
+        assert traj.termination is Termination.TIME_LIMIT and traj.max_drift <= 1e-6
+        oc = classify_orbit(traj)
+        assert oc.kind is OrbitKind.CLOSED and abs(oc.period - OMEGA_R) <= 1e-14
+
+    @pytest.mark.parametrize("d", [3e-6, 1e-6, 1e-9])
+    def test_closed_start_at_the_separatrix_is_never_open(self, d):
+        # d below the separatrix the whip passes |Re z| = 8 (8.14 at d = 3e-6, 8.45 at 1e-9):
+        # the run comes back closed, or ends by drift, but never escapes
+        traj = integrate(*_probe_start(separatrix_offset(P, 0.8) - d), run_preset(0.8, 2.0), P)
+        assert traj.termination is not Termination.ESCAPED
+        if traj.termination is Termination.TIME_LIMIT:
+            assert classify_orbit(traj).kind is OrbitKind.CLOSED
+        else:
+            with pytest.raises(AmbiguousOrbitError):
+                classify_orbit(traj)
+
     @pytest.mark.parametrize("offset", [0.2, 0.45, 0.6])
     def test_zero_energy_start_classifies_by_its_period(self, offset):
         # at E = 0 the well centers are equilibria and the lattice degenerates; the orbits
@@ -304,7 +338,7 @@ class TestReturnStop:
     def test_probe_near_boundary_stops_at_first_return(self):
         # the lower boundary probe, 5e-5 below the separatrix, run to omega_R
         start = _probe_start(separatrix_offset(P, 0.8) - 0.5 * BOUNDARY_WIDTH)
-        traj = integrate(*start, replace(PROBE_CONFIG, t_max=OMEGA_R), P)
+        traj = integrate(*start, run_preset(0.8, OMEGA_R), P)
         assert traj.termination is Termination.TIME_LIMIT and traj.t[-1] == OMEGA_R
         dist = np.hypot(np.abs(traj.z - start[0]), np.abs(traj.p - start[1]))
         assert dist[-1] <= 1e-12
@@ -316,7 +350,7 @@ class TestReturnStop:
     def test_probe_past_boundary_stops_at_cell_exit(self):
         # the upper boundary probe, 5e-5 above the separatrix, leaves its cell before omega_R
         traj = integrate(*_probe_start(separatrix_offset(P, 0.8) + 0.5 * BOUNDARY_WIDTH),
-                         replace(PROBE_CONFIG, t_max=OMEGA_R), P)
+                         run_preset(0.8, OMEGA_R), P)
         assert traj.termination is Termination.ESCAPED
         assert traj.t[-1] < 0.5 < OMEGA_R
         assert abs(traj.z[-1].imag - traj.z[0].imag) > 0.5 * math.pi
@@ -328,7 +362,7 @@ class TestReturnStop:
         # sample before omega_R lands on the start, or, for the open starts (0.54,
         # 0.6, run on with the cell exit lifted), on the start shifted by +-i pi
         start = _probe_start(offset)
-        traj = integrate(*start, replace(PROBE_CONFIG, t_max=2.0, escape_y_span=math.inf), P)
+        traj = integrate(*start, replace(run_preset(0.8, 2.0), escape_y_span=math.inf), P)
         assert traj.termination is Termination.TIME_LIMIT
         i = int(np.searchsorted(traj.t, OMEGA_R)) - 1
         end = integrate(complex(traj.z[i]), complex(traj.p[i]), replace(traj.config, t_max=OMEGA_R - traj.t[i]), P)
@@ -359,7 +393,7 @@ class TestReturnStop:
         c = well_center(WellIndex(Side.LEFT, n), P)
         z0 = complex(c.real, c.imag + offset)
         p0 = initial_momentum(z0, 0.8 + 0j, MomentumBranch.PRINCIPAL, P)
-        cfg = replace(PROBE_CONFIG, escape_y_span=math.inf)
+        cfg = replace(run_preset(0.8), escape_y_span=math.inf)
         online = integrate(z0, p0, replace(cfg, t_max=OMEGA_R), P)
         longer = integrate(z0, p0, replace(cfg, t_max=2.0), P)
         i = int(np.searchsorted(longer.t, OMEGA_R)) - 1
@@ -377,8 +411,8 @@ class TestReturnStop:
             assert abs(classify_orbit(online).period - OMEGA_R) <= 1e-14
 
     def test_without_the_return_stop_integrates_on(self):
-        # the probe preset runs to its t_max, and a closed run past omega_R classifies by it
-        traj = integrate(*_probe_start(0.2), replace(PROBE_CONFIG, t_max=15.0), P)
+        # the real-energy preset runs to its t_max, and a closed run past omega_R classifies by it
+        traj = integrate(*_probe_start(0.2), run_preset(0.8, 15.0), P)
         assert traj.termination is Termination.TIME_LIMIT
         assert traj.t[-1] == 15.0
         oc = classify_orbit(traj)
@@ -399,7 +433,8 @@ class TestBoundary:
 
     def test_probe_ending_by_drift_raises_at_once(self, monkeypatch):
         calls = _count_integrations(monkeypatch)
-        monkeypatch.setattr(analysis, "PROBE_CONFIG", replace(PROBE_CONFIG, energy_drift_limit=1e-13))
+        preset = analysis.run_preset
+        monkeypatch.setattr(analysis, "run_preset", lambda *args: replace(preset(*args), energy_drift_limit=1e-13))
         with pytest.raises(AmbiguousOrbitError) as exc_info:
             closed_orbit_boundary(WellIndex(Side.LEFT, 0), 0.8, P)
         msg = str(exc_info.value)
@@ -409,7 +444,8 @@ class TestBoundary:
 
     def test_wrong_probe_class_raises(self, monkeypatch):
         # a cell this narrow lets the closed probe escape too
-        monkeypatch.setattr(analysis, "PROBE_CONFIG", replace(PROBE_CONFIG, escape_y_span=0.1))
+        preset = analysis.run_preset
+        monkeypatch.setattr(analysis, "run_preset", lambda *args: replace(preset(*args), escape_y_span=0.1))
         with pytest.raises(BracketingError, match="ended by escaped, .* ended by escaped"):
             closed_orbit_boundary(WellIndex(Side.LEFT, 0), 0.8, P)
 
@@ -421,6 +457,14 @@ class TestBoundary:
         assert len(calls) == 2 and res.n_probes == 2
         assert res.offset == sep
         assert (res.closed_offset, res.open_offset) == (sep - 0.5 * BOUNDARY_WIDTH, sep + 0.5 * BOUNDARY_WIDTH)
+
+    @pytest.mark.parametrize("zeta,m_int,energy", [(0.001, 3, 0.8), (0.001, 6, 3.0)])
+    def test_deep_wells_keep_the_closed_probe(self, zeta, m_int, energy):
+        # at small zeta the wells and the closed probe's whip lie about ln(0.1/zeta)/2
+        # further left: past |Re z| = 8, yet the probe comes back closed
+        params = SystemParams(zeta, m_int)
+        res = closed_orbit_boundary(WellIndex(Side.LEFT, 0), energy, params)
+        assert res.offset == separatrix_offset(params, energy)
 
 
 def _count_integrations(monkeypatch) -> list:

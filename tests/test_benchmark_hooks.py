@@ -42,6 +42,14 @@ def test_tracer_installs_and_uninstalls():
 def test_names_the_workloads_read():
     assert isinstance(cli.TUNNELING_DRIFT_LIMIT, float)
     assert isinstance(cli.TUNNELING_ESCAPE_RADIUS, float)
+    # the figure run's hand-built tunneling config is the package's preset
+    tunneling = integrator.IntegratorConfig(
+        t_max=150.0,
+        energy_drift_limit=cli.TUNNELING_DRIFT_LIMIT,
+        escape_radius=cli.TUNNELING_ESCAPE_RADIUS,
+        max_steps=10_000_000,
+    )
+    assert tunneling == cli.run_preset(1 + 1j, 150.0)
     assert callable(cli.integrate)
     assert callable(integrator.derivative)
     assert callable(dynamics.potential_gradient)

@@ -19,22 +19,24 @@ from ptwells import (
     cli,
     well_center,
 )
-from ptwells.analysis import BOUNDARY_WIDTH
+from ptwells.analysis import BOUNDARY_WIDTH, default_t_max
 from ptwells.cli import (
     EXIT_AMBIGUOUS,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
     cmd_sweep_e2,
-    default_t_max,
     fmt,
     main,
     parse_complex,
     run_preset,
 )
+from ptwells.dynamics import chart_coefficients
+from ptwells.integrator import chart_invariants, real_period
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CLOSED_START = "point:-2.047311112165265,-0.3113981633974483"  # 0.474 above left n=0
+SEPARATRIX_START = "point:-2.047311112165265,-0.2556981633974483"  # 0.5297 above left n=0
 COMMANDS = ("simulate", "sweep-e2", "threshold")  # the subcommands that read a config file
 # the integrator flags that simulate and sweep-e2 no longer take, each with a value
 REMOVED_FLAGS = {
@@ -180,6 +182,15 @@ class TestSimulateCommand:
         assert summary["classification"] == {"kind": "open_escape", "escape_side": "left"}
         assert summary["termination"] == "escaped"
 
+    def test_near_separatrix_start_is_closed(self, capsys):
+        # 0.5297 above left n=0, 9.5e-5 inside the separatrix: closed, on the preset's guards
+        args = ["simulate", "--zeta", "0.1", "--M", "3", "--e", "0.8", "--start", SEPARATRIX_START]
+        assert main(args) == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["classification"]["kind"] == "closed" and summary["termination"] == "time_limit"
+        omega_r = real_period(*chart_invariants(chart_coefficients(SystemParams(0.1, 3), 0.8 + 0j)))
+        assert abs(summary["classification"]["period"] - omega_r) <= 1e-14
+
     def test_summary_printed(self, capsys):
         args = [
             "simulate", "--zeta", "0.1", "--M", "3", "--e", "0.8",
@@ -293,6 +304,11 @@ class TestSweepCommand:
         with pytest.raises(DomainError):
             cmd_sweep_e2(params, 1.0, [0.5, -0.5], workers=1)
 
+    def test_zero_e2_rejected(self, capsys):
+        # zero is a real energy, whatever the signs of the other rows
+        assert main(["sweep-e2", "--zeta", "0.1", "--M", "3", "--e2", "0.5,0"]) == EXIT_USAGE
+        assert "E2 = 0 is not a tunneling energy" in capsys.readouterr().err
+
     def test_sweep_csv_and_order(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         args = [
@@ -351,7 +367,7 @@ class TestIntegratorConfigKeys:
         assert seen == [replace(run_preset(1 + 1j), t_max=50.0)]
 
     def test_threshold_config_takes_no_integrator_key(self, tmp_path, monkeypatch, capsys):
-        # the probes always run analysis.PROBE_CONFIG
+        # the probes always run analysis.run_preset of their energy
         monkeypatch.setattr(analysis, "integrate", _never)
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"zeta": 0.1, "m": 3, "e": 0.8, "rel_tol": 1e-12}))

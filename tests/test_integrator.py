@@ -97,7 +97,7 @@ class TestIntegrate:
     def test_energy_recorded_and_drift_bounded(self, fig_closed):
         z0, p0 = fig_closed.z[0], fig_closed.p[0]
         assert fig_closed.energy == hamiltonian(complex(z0), complex(p0), P)
-        # default config: drift limit 1e-8, and this bounded run never trips it
+        # default config (drift limit 1e-3); this bounded run's drift stays within 1e-8
         assert fig_closed.max_drift <= 1e-8
 
     @pytest.mark.parametrize("fixture", ["fig_closed", "fig_tunneling"])
