@@ -36,6 +36,7 @@ import json
 import multiprocessing
 import os
 import sys
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -179,7 +180,8 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
 
     Float ``repr`` is most of the cost, so ``_pool_map`` formats the blocks, one
     worker per block up to the usable CPUs, for at least two blocks and where a
-    pool forks; otherwise in this process.  The bytes do not depend on the workers.
+    pool forks; otherwise in this process.  Each block is written as it arrives.
+    The bytes do not depend on the workers.
     """
     err1, err2 = traj.energy_component_errors()
     cols = (traj.t, traj.z.real, traj.z.imag, traj.p.real, traj.p.imag, err1, err2)
@@ -300,15 +302,16 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pool_map(fn, jobs: list, workers: int | None = None) -> list:
-    """``[fn(job) for job in jobs]`` in order: in this process for one worker or one
+def _pool_map(fn, jobs: list, workers: int | None = None) -> Iterator:
+    """``fn(job)`` for each job, yielded in order: in this process for one worker or one
     job, else on a pool of ``workers``, by default one per job up to the usable CPUs."""
     if workers is None:
         workers = min(len(jobs), _usable_cpus())
     if workers <= 1 or len(jobs) == 1:
-        return [fn(job) for job in jobs]
+        yield from map(fn, jobs)
+        return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
+        yield from pool.map(fn, jobs)
 
 
 def cmd_sweep_e2(
@@ -332,7 +335,7 @@ def cmd_sweep_e2(
     if not (all(e2 > 0 for e2 in e2_list) or all(e2 < 0 for e2 in e2_list)):
         raise DomainError("E2 values must all have the same sign")
     jobs = [(params.zeta, params.m_int, e1, e2, run_preset(complex(e1, e2), t_max)) for e2 in e2_list]
-    rows = _pool_map(_sweep_row, jobs, workers)
+    rows = list(_pool_map(_sweep_row, jobs, workers))
     if out_path:
         write_sweep_csv(rows, out_path)
     return rows

@@ -195,9 +195,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.t)
 
-    def state(self, i: int) -> PhaseState:
-        return PhaseState(float(self.t[i]), complex(self.z[i]), complex(self.p[i]))
-
     @property
     def max_drift(self) -> float:
         return float(self.drift.max()) if len(self.drift) else 0.0

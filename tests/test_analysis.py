@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,11 +13,11 @@ from ptwells import (
     CrossingDirection,
     DegenerateWindingError,
     DomainError,
+    DwellSegment,
     InsufficientCrossingsError,
     IntegratorConfig,
     MomentumBranch,
     OrbitKind,
-    PhaseState,
     Side,
     SystemParams,
     Termination,
@@ -26,9 +27,11 @@ from ptwells import (
     classify_orbit,
     closed_orbit_boundary,
     detect_axis_crossings,
+    dwell_segments,
     initial_momentum,
     integrate,
     measure_tunneling,
+    nearest_well,
     self_intersections,
     separatrix_offset,
     spiral_chirality,
@@ -40,7 +43,7 @@ from ptwells import analysis
 from ptwells.analysis import BOUNDARY_WIDTH, run_preset
 from ptwells.dynamics import chart_coefficients
 from ptwells.integrator import chart_invariants, real_period
-from ptwells.wells import lattice_y_array, well_x
+from ptwells.wells import lattice_y_array, nearest_wells, well_x
 
 P = SystemParams(0.1, 3)
 OMEGA_R = real_period(*chart_invariants(chart_coefficients(P, 0.8 + 0j)))  # the real period at E = 0.8
@@ -503,31 +506,29 @@ class TestChirality:
     def test_synthetic_clockwise(self):
         t = np.linspace(0, 3.0, 50)
         center = 1.0 + 1.0j
-        states = [PhaseState(tt, center + 0.3 * np.exp(-2j * tt), 0j) for tt in t]
-        assert spiral_chirality(states, center) is Chirality.CLOCKWISE
+        z = center + 0.3 * np.exp(-2j * t)
+        assert spiral_chirality(z, center) is Chirality.CLOCKWISE
 
     def test_synthetic_anticlockwise(self):
         t = np.linspace(0, 3.0, 50)
         center = -0.5j
-        states = [PhaseState(tt, center + 0.2 * np.exp(1.7j * tt), 0j) for tt in t]
-        assert spiral_chirality(states, center) is Chirality.ANTICLOCKWISE
+        z = center + 0.2 * np.exp(1.7j * t)
+        assert spiral_chirality(z, center) is Chirality.ANTICLOCKWISE
 
     def test_degenerate_raises(self):
         # purely radial back-and-forth: no net winding
         rs = [0.1 + 0.01 * ((-1) ** k) for k in range(20)]
-        states = [PhaseState(float(k), complex(r, 0), 0j) for k, r in enumerate(rs)]
         with pytest.raises(DegenerateWindingError):
-            spiral_chirality(states, 0j)
+            spiral_chirality(np.array(rs, dtype=complex), 0j)
 
     def test_too_few_samples(self):
-        states = [PhaseState(float(k), 0.1 + 0.1j * k / 100, 0j) for k in range(5)]
+        z = 0.1 + 0.1j * np.arange(5) / 100
         with pytest.raises(DomainError):
-            spiral_chirality(states, 0j)
+            spiral_chirality(z, 0j)
 
     def test_samples_outside_radius_rejected(self):
-        states = [PhaseState(float(k), complex(k, 0), 0j) for k in range(12)]
         with pytest.raises(DomainError):
-            spiral_chirality(states, 0j)
+            spiral_chirality(np.arange(12, dtype=complex), 0j)
 
 
 class TestSelfIntersections:
@@ -577,11 +578,42 @@ class TestSelfIntersections:
         with pytest.raises(DomainError):
             self_intersections(traj)
 
+    def test_matches_brute_force_on_closed_figure_head(self, fig_closed):
+        # the loops of a closed orbit retrace each other at rounding level: the
+        # first 3,000 samples of the closed figure hold 36,887 such crossings
+        n = 3000
+        head = synthetic_trajectory(fig_closed.t[:n], fig_closed.z[:n], p=fig_closed.p[:n])
+        x, y = fig_closed.z[:n].real, fig_closed.z[:n].imag
+
+        def orient(p, q, r):
+            return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+        # segment i against every segment j >= i + 2, one row of pairs at a time
+        brute = 0
+        for i in range(n - 3):
+            a, b = (x[i], y[i]), (x[i + 1], y[i + 1])
+            c, d = (x[i + 2 : n - 1], y[i + 2 : n - 1]), (x[i + 3 :], y[i + 3 :])
+            d1, d2 = orient(c, d, a), orient(c, d, b)
+            d3, d4 = orient(a, b, c), orient(a, b, d)
+            brute += int(np.count_nonzero((d1 * d2 < 0) & (d3 * d4 < 0)))
+        assert brute > 0
+        assert self_intersections(head) == brute
+
+    def test_memory_is_linear_in_samples(self, fig_closed):
+        # the 16,353 samples of the closed figure hold 1,166,030 crossings;
+        # gathering every candidate pair before testing any took 425 MB
+        tracemalloc.start()
+        try:
+            count = self_intersections(fig_closed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 1_166_030
+        assert peak <= 32 * 2**20
+
 
 class TestSpiralWindows:
     def test_windows_split_at_closest_approach(self, fig_tunneling):
-        from ptwells import dwell_segments
-
         segs = dwell_segments(fig_tunneling)
         assert len(segs) >= 3
         seg = segs[1]
@@ -591,7 +623,45 @@ class TestSpiralWindows:
         )
         inward, outward = spiral_windows(fig_tunneling, seg, center)
         assert len(inward) >= 10 and len(outward) >= 10
-        r_in = [abs(s.z - center) for s in inward]
-        r_out = [abs(s.z - center) for s in outward]
+        r_in = np.abs(inward - center)
+        r_out = np.abs(outward - center)
         assert r_in[-1] == min(r_in)
         assert r_out[0] == min(r_out)
+
+    def test_windows_equal_the_sample_scan(self, fig_tunneling):
+        # the reference scans out from the closest approach one sample at a
+        # time, about the visited well and about a point far from the orbit
+        segs = dwell_segments(fig_tunneling)
+        assert len(segs) == 8
+        long_windows = 0
+        for seg in segs:
+            zseg = fig_tunneling.z[seg.i_first : seg.i_last + 1]
+            visited = complex(zseg[np.argmin(nearest_wells(zseg, P)[2])])
+            near = well_center(nearest_well(visited, P)[0], P)
+            for center in (near, near + 100.0):
+                r = np.abs(zseg - center)
+                k_min = int(np.argmin(r))
+                lo = k_min
+                while lo > 0 and r[lo - 1] <= math.pi / 4:
+                    lo -= 1
+                hi = k_min
+                while hi + 1 < len(r) and r[hi + 1] <= math.pi / 4:
+                    hi += 1
+                inward, outward = spiral_windows(fig_tunneling, seg, center)
+                np.testing.assert_array_equal(inward, zseg[lo : k_min + 1])
+                np.testing.assert_array_equal(outward, zseg[k_min : hi + 1])
+                long_windows += len(inward) >= 10 and len(outward) >= 10
+        assert long_windows == len(segs)
+
+    def test_closest_approach_beyond_quarter_pi_keeps_its_sample(self):
+        # a dwell that never comes within pi/4 of the center: both windows are
+        # the closest sample, which is itself beyond pi/4
+        t = np.linspace(0.0, 1.0, 40)
+        z = 1.0 + 0.5 * (t - 0.3) ** 2 + 1j * (t - 0.3)
+        traj = synthetic_trajectory(t, z)
+        seg = DwellSegment(Side.RIGHT, 0.0, 1.0, i_first=0, i_last=39)
+        inward, outward = spiral_windows(traj, seg, 0j)
+        k_min = int(np.argmin(np.abs(z)))
+        assert 0 < k_min < 39 and abs(z[k_min]) > math.pi / 4
+        np.testing.assert_array_equal(inward, z[k_min : k_min + 1])
+        np.testing.assert_array_equal(outward, z[k_min : k_min + 1])
