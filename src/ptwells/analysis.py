@@ -555,9 +555,12 @@ def self_intersections(traj: Trajectory) -> int:
     closed figure run (t = 40, about 73 loops) counts 1,166,030 of them.
     Only pairs whose bounding boxes share a cell of a uniform grid (cell = the
     mean segment length) are tested, as they are found, so memory stays linear
-    in the grid entries.  Any cell gives the same count: two crossing segments
-    both hold the crossing point, so their boxes share its cell.  Adjacent
-    segments, endpoint touches and collinear overlaps do not count.
+    in the grid entries.  A segment many cells long would hold the square of
+    its length in cells, so the cell is doubled until the boxes hold at most 16
+    cells per segment (real orbits hold 2.5-2.8).  Any cell gives the same
+    count: two crossing segments both hold the crossing point, so their boxes
+    share its cell.  Adjacent segments, endpoint touches and collinear overlaps
+    do not count.
     """
     if len(traj) < 4:
         raise DomainError(f"need >= 4 samples, got {len(traj)}")
@@ -565,10 +568,14 @@ def self_intersections(traj: Trajectory) -> int:
     seg_len = np.hypot(*(pts[1:] - pts[:-1]).T)
     cell = max(float(seg_len.mean()), 1e-12)
 
-    # int64: at the 1e-12 floor a cell coordinate passes the int32 range
-    lo = np.floor(np.minimum(pts[:-1], pts[1:]) / cell).astype(np.int64)
-    hi = np.floor(np.maximum(pts[:-1], pts[1:]) / cell).astype(np.int64)
-    nx, ny = (hi - lo + 1).T
+    while True:
+        # int64: at the 1e-12 floor a cell coordinate passes the int32 range
+        lo = np.floor(np.minimum(pts[:-1], pts[1:]) / cell).astype(np.int64)
+        hi = np.floor(np.maximum(pts[:-1], pts[1:]) / cell).astype(np.int64)
+        nx, ny = (hi - lo + 1).T
+        if np.dot(nx, ny.astype(float)) <= 16.0 * len(seg_len):  # entries, counted in float: no overflow
+            break
+        cell *= 2.0
     # one entry per (segment, cell of its bounding box), in segment order
     seg = np.repeat(np.arange(len(seg_len), dtype=np.int32), nx * ny)
     cy, cx = np.divmod(np.arange(len(seg)) - np.repeat(np.cumsum(nx * ny) - nx * ny, nx * ny), nx[seg])

@@ -325,7 +325,7 @@ def cmd_sweep_e2(
     """Run one tunneling measurement per E2, concurrently, in input order.
 
     Each row integrates with the ``run_preset`` of its own energy, up to
-    ``t_max`` when given, else to that preset's horizon.  ``workers``
+    ``t_max`` when given, else to that preset's horizon.  ``workers``, at least 1,
     defaults to one per row, at most one per CPU the process may run on.
     """
     if not e2_list:
@@ -334,6 +334,8 @@ def cmd_sweep_e2(
         raise DomainError("E2 = 0 is not a tunneling energy: every E2 must be nonzero")
     if not (all(e2 > 0 for e2 in e2_list) or all(e2 < 0 for e2 in e2_list)):
         raise DomainError("E2 values must all have the same sign")
+    if workers is not None and workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
     jobs = [(params.zeta, params.m_int, e1, e2, run_preset(complex(e1, e2), t_max)) for e2 in e2_list]
     rows = list(_pool_map(_sweep_row, jobs, workers))
     if out_path:

@@ -31,15 +31,16 @@ halved, and the next accepted step doubles the length back: the integer
 count k of turns about w = 0 then stays exact, and approaches to w = 0 are
 resolved.
 
-The loop keeps only the step ends.  Every ``_BLOCK_STEPS`` accepted steps, and
-at the end of the run, numpy emits each step's samples by the map itself,
-:func:`chart_step` from the step's start over theta h: n = 8 ceil(4 h / h_max)
-at theta = i / n, i = 1..n, h_max / 32 apart from a step of h_max / 4 up (the
-DOP853 median step over 8, the spacing the polyline analyses rest on).  Each
-is mapped, with its step's chart c (+1 on the left, -1 on the right) and
-turn count, to z = c (ln|w| + i (arg w + 2 pi k)) / 2 and p = c w' / (4w).
-The samples are not projected: the map runs from a step start that is
-already on the shell, and keeps them there to rounding.
+The loop keeps a record of each kept step (see ``_emit``).  After it, numpy
+emits the samples, ``_BLOCK_STEPS`` steps at a time, into arrays of their
+final length: each step's by the map itself, :func:`chart_step` from the
+step's start over theta h: n = 8 ceil(4 h / h_max) at theta = i / n,
+i = 1..n, h_max / 32 apart from a step of h_max / 4 up (the DOP853 median
+step over 8, the spacing the polyline analyses rest on).  Each is mapped,
+with its step's chart c (+1 on the left, -1 on the right) and turn count, to
+z = c (ln|w| + i (arg w + 2 pi k)) / 2 and p = c w' / (4w).  The samples are
+not projected: the map runs from a step start that is already on the shell,
+and keeps them there to rounding.
 
 At real E the lattice has a real period omega_R (:func:`real_period`): after it
 every orbit of that energy is back at its start, shifted by i pi k in z, by which
@@ -73,6 +74,8 @@ import cmath
 import enum
 import itertools
 import math
+from collections import Counter
+from struct import Struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,16 +170,15 @@ class IntegratorConfig:
 class Trajectory:
     """The start and the samples of each kept step, plus the conserved energy.
 
-    Sample arrays are columnar for memory efficiency; ``state(i)`` provides
-    the record view.  A kept step of length h has MIN_SAMPLES_PER_STEP
-    ceil(4 h / h_max) samples, SAMPLES_PER_STEP if full, and ``len(traj)`` is
-    1 plus their sum: a run that ends by drift keeps every accepted step but
-    the last.  ``n_accepted`` counts the accepted steps the loop took.
-    ``drift[i]`` is the energy error of the step that sample i belongs to:
-    |H - E| / max(1, |E|) of the step's end before the projection onto the
-    shell, bounded by the integration config's ``energy_drift_limit`` for
-    every retained sample (0 at the start).  ``drift_floor_rss`` is the root
-    sum of squares of the per-sample floors eps (|dV/dz| |z| + 2 |p|^2) /
+    The samples are one array per field.  A kept step of length h has
+    MIN_SAMPLES_PER_STEP ceil(4 h / h_max) samples, SAMPLES_PER_STEP if full,
+    and ``len(traj)`` is 1 plus their sum: a run that ends by drift keeps every
+    accepted step but the last.  ``n_accepted`` counts the accepted steps the
+    loop took.  ``drift[i]`` is the energy error of the step that sample i
+    belongs to: |H - E| / max(1, |E|) of the step's end before the projection
+    onto the shell, bounded by the integration config's ``energy_drift_limit``
+    for every retained sample (0 at the start).  ``drift_floor_rss`` is the
+    root sum of squares of the per-sample floors eps (|dV/dz| |z| + 2 |p|^2) /
     max(1, |E|) over the retained samples.
     """
 
@@ -360,27 +362,30 @@ _TWO_PI_LO = 2.4492935982947064e-16
 # SAMPLES_PER_STEP, h_max / SAMPLES_PER_STEP apart, on a full step; MIN_SAMPLES_PER_STEP from h_max / 4 down
 SAMPLES_PER_STEP = 32
 MIN_SAMPLES_PER_STEP = 8
-_BLOCK_STEPS = 64  # accepted steps emitted at a time, at most: up to 2048 samples
-_MERGE_BLOCKS = 16  # emitted blocks merged at a time
+_BLOCK_STEPS = 64  # kept steps emitted at a time, at most: up to 2048 samples
 _THETA = {n: np.arange(1, n + 1) / n for n in range(MIN_SAMPLES_PER_STEP, SAMPLES_PER_STEP + 1, MIN_SAMPLES_PER_STEP)}
 
 
-def _emit(steps: list, q, table: dict[float, list], coeffs: list[complex], h_max: float) -> tuple[np.ndarray, ...]:
-    """The samples of a block of accepted steps.
+def _sample_count(h: float, h_max: float) -> int:
+    """The samples a step of length h emits; the last step's length may exceed its scale by a rounding."""
+    return min(SAMPLES_PER_STEP, MIN_SAMPLES_PER_STEP * math.ceil(4.0 * h / h_max))
 
-    Each row of ``steps`` is (t, h, c, k, w0, w0', w0'', Q(w0), w, drift) of one step: its
-    end time, length, chart and turn count at the end, its start in its own chart and the
-    end's w.  A sample is :func:`chart_step` from the start over theta h, mapped to (z, p)
-    with the step's chart and turns.  ``table`` maps a step length to its :func:`step_constants`,
-    then its samples' (theta, P, P', P'', K) rows, which the lengths new to the block get here
-    in one array call on ``coeffs``.  Returns t, z, p, drift and the floor of each sample.
+
+def _emit(steps: np.ndarray, q, table: dict[float, list], coeffs: list[complex], h_max: float) -> tuple[np.ndarray, ...]:
+    """The samples of a block of kept steps.
+
+    Each row of ``steps`` is one step's record, 14 doubles: its start w0, w0', w0'', Q(w0) in
+    its own chart, each as real and imaginary part, then its end time t, length h, chart c, and
+    turn count k and arg w at its end, and its drift.  A sample is :func:`chart_step` from the
+    start over theta h, mapped to (z, p) with the step's chart and turns.  ``table`` maps a step
+    length to its :func:`step_constants`, then its samples' (theta, P, P', P'', K) rows, which
+    the lengths new to the block get here in one array call on ``coeffs``.  Returns t, z, p,
+    drift and the floor of each sample.
     """
-    s = np.array(steps, dtype=complex).T
-    lengths = [row[1] for row in steps]
+    lengths = steps[:, 9].tolist()
     new = [x for x in dict.fromkeys(lengths) if len(table[x]) == 1]
     if new:
-        # the last step's length may exceed its scale by a rounding
-        counts = [min(SAMPLES_PER_STEP, MIN_SAMPLES_PER_STEP * math.ceil(4.0 * x / h_max)) for x in new]
+        counts = [_sample_count(x, h_max) for x in new]
         theta = np.concatenate([_THETA[n] for n in counts])
         rows = np.array([theta, *step_constants(theta * np.repeat(new, counts), coeffs)])
         for x, end, n in zip(new, itertools.accumulate(counts), counts):
@@ -388,8 +393,8 @@ def _emit(steps: list, q, table: dict[float, list], coeffs: list[complex], h_max
     parts = [table[x][1] for x in lengths]
     n = [x.shape[1] for x in parts]
     theta, *pk = np.concatenate(parts, axis=1)
-    w, v, a, _ = chart_step(q, *np.repeat(s[4:8], n, axis=1), pk)
-    t1, h, c, k, drift, ph1 = np.repeat(np.concatenate([s[[0, 1, 2, 3, 9]].real, np.angle(s[8:9])]), n, axis=1)
+    w, v, a, _ = chart_step(q, *np.repeat(steps[:, :8].view(complex).T, n, axis=1), pk)
+    t1, h, c, k, ph1, drift = np.repeat(steps[:, 8:].T, n, axis=1)
     aw = np.abs(w)
     ph = np.angle(w)
     k += np.round((ph1 - ph) / _TWO_PI)  # arg w within 1 rad of the step end's
@@ -397,7 +402,7 @@ def _emit(steps: list, q, table: dict[float, list], coeffs: list[complex], h_max
     p = 0.25 * c * v / w
     # |dV/dz| = |dp/dt| = |w'' w - w'^2| / (4 |w|^2) and |p| = |w'| / (4 |w|)
     floor = (np.abs(a * w - v * v) * np.abs(z) + 0.5 * np.abs(v) ** 2) / (4.0 * aw * aw)
-    return t1 - (1.0 - theta.real) * h, z, p, drift.copy(), floor  # a copy: the repeated steps are not kept
+    return t1 - (1.0 - theta.real) * h, z, p, drift, floor
 
 
 def integrate(
@@ -429,23 +434,7 @@ def integrate(
     table: dict[float, list] = {}  # step length -> [its step_constants, its samples' rows (_emit)]
 
     t, z, p = 0.0, complex(z0), complex(p0)
-    chunks = [(np.array([t]), np.array([z]), np.array([p]), np.zeros(1))]
-    floor_sq = 0.0  # the sum of the kept samples' squared floors
-    steps: list[tuple] = []  # accepted steps not yet emitted
-    blocks: list[tuple] = []  # emitted samples not yet merged into ``chunks``
-
-    def flush() -> None:
-        """Emit ``steps`` into ``blocks``, and every ``_MERGE_BLOCKS`` blocks into ``chunks``."""
-        nonlocal floor_sq
-        if not steps:
-            return
-        *block, floor = _emit(steps, q, table, coeffs, h_max)
-        steps.clear()
-        blocks.append(tuple(block))
-        floor_sq += float(np.dot(floor, floor))
-        if len(blocks) == _MERGE_BLOCKS:  # small kept arrays among freed temporaries would fragment the heap
-            chunks.append(tuple(np.concatenate(x) for x in zip(*blocks)))
-            blocks.clear()
+    steps, record = bytearray(), Struct("14d").pack  # the kept steps' records, for _emit
 
     # the chart: c = +1 for w = e^{2z}, -1 for w = e^{-2z}; k counts the turns of w
     c = 1.0 if z.real <= 0.0 else -1.0
@@ -501,7 +490,7 @@ def integrate(
         k += round((ph - ph_new) / _TWO_PI)  # arg w moved by at most 1 < pi
         ph = ph_new
         if drift <= drift_limit:
-            steps.append((t, h, c, k, w, v, a, qw, wn, drift))
+            steps += record(w.real, w.imag, v.real, v.imag, a.real, a.imag, qw.real, qw.imag, t, h, c, k, ph, drift)
         w, v, a, qw = wn, vn, an, qn
         y = 0.5 * c * (ph + k * _TWO_PI + k * _TWO_PI_LO)  # Im z
 
@@ -514,8 +503,6 @@ def integrate(
         if last_step:
             termination = Termination.TIME_LIMIT
             break
-        if len(steps) >= _BLOCK_STEPS:
-            flush()
 
         if aw > 1.0:  # across the imaginary axis: the other chart
             w = 1.0 / w
@@ -527,12 +514,18 @@ def integrate(
             a, qw = chart_accel(q, w)
         scale = min(2.0 * scale, 1.0)
 
-    flush()
-    fields = [list(x) for x in zip(*chunks, *blocks)]  # t, z, p, drift: the only holder of each field's pieces
-    chunks.clear()
-    blocks.clear()
-    # a field's pieces are freed once it is joined, before the next: no sample is held twice
-    t, z, p, drift = (np.concatenate(fields.pop(0)) for _ in range(4))
+    # the samples of each block of steps, written where they belong in arrays of the final length
+    steps = np.frombuffer(steps).reshape(-1, 14)
+    n = 1 + sum(_sample_count(x, h_max) * m for x, m in Counter(steps[:, 9].tolist()).items())
+    samples = t, z, p, drift = np.empty(n), np.empty(n, complex), np.empty(n, complex), np.empty(n)
+    t[0], z[0], p[0], drift[0] = 0.0, z0, p0, 0.0
+    floor_sq, i = 0.0, 1  # the sum of the samples' squared floors, and the next sample
+    for b in range(0, len(steps), _BLOCK_STEPS):
+        *block, floor = _emit(steps[b : b + _BLOCK_STEPS], q, table, coeffs, h_max)
+        for out, x in zip(samples, block):
+            out[i : i + len(x)] = x
+        floor_sq += float(np.dot(floor, floor))
+        i += len(floor)
     return Trajectory(
         params=params,
         energy=e0,

@@ -531,6 +531,24 @@ class TestChirality:
             spiral_chirality(np.arange(12, dtype=complex), 0j)
 
 
+def _brute_force_crossings(z: np.ndarray) -> int:
+    """The transversal crossings of the polyline z, segment i against every segment j >= i + 2,
+    one row of pairs at a time."""
+    x, y, n = z.real, z.imag, len(z)
+
+    def orient(p, q, r):
+        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+    count = 0
+    for i in range(n - 3):
+        a, b = (x[i], y[i]), (x[i + 1], y[i + 1])
+        c, d = (x[i + 2 : n - 1], y[i + 2 : n - 1]), (x[i + 3 :], y[i + 3 :])
+        d1, d2 = orient(c, d, a), orient(c, d, b)
+        d3, d4 = orient(a, b, c), orient(a, b, d)
+        count += int(np.count_nonzero((d1 * d2 < 0) & (d3 * d4 < 0)))
+    return count
+
+
 class TestSelfIntersections:
     def test_straight_line(self):
         t = np.linspace(0, 1, 64)
@@ -556,20 +574,7 @@ class TestSelfIntersections:
             t = np.linspace(0.0, 20.0 * math.pi, 300)
             z = (1.0 + 0.003 * t + 0.03 * np.sin(5.1 * t)) * np.exp(1j * t)
         traj = synthetic_trajectory(t, z)
-        pts = np.column_stack([z.real, z.imag])
-
-        def orient(a, b, c):
-            return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-        brute = 0
-        n_seg = len(pts) - 1
-        for i in range(n_seg):
-            for j in range(i + 2, n_seg):
-                a, b, c, d = pts[i], pts[i + 1], pts[j], pts[j + 1]
-                d1, d2 = orient(c, d, a), orient(c, d, b)
-                d3, d4 = orient(a, b, c), orient(a, b, d)
-                if d1 * d2 < 0 and d3 * d4 < 0:
-                    brute += 1
+        brute = _brute_force_crossings(z)
         assert brute > 0
         assert self_intersections(traj) == brute
 
@@ -583,19 +588,7 @@ class TestSelfIntersections:
         # first 3,000 samples of the closed figure hold 36,887 such crossings
         n = 3000
         head = synthetic_trajectory(fig_closed.t[:n], fig_closed.z[:n], p=fig_closed.p[:n])
-        x, y = fig_closed.z[:n].real, fig_closed.z[:n].imag
-
-        def orient(p, q, r):
-            return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-        # segment i against every segment j >= i + 2, one row of pairs at a time
-        brute = 0
-        for i in range(n - 3):
-            a, b = (x[i], y[i]), (x[i + 1], y[i + 1])
-            c, d = (x[i + 2 : n - 1], y[i + 2 : n - 1]), (x[i + 3 :], y[i + 3 :])
-            d1, d2 = orient(c, d, a), orient(c, d, b)
-            d3, d4 = orient(a, b, c), orient(a, b, d)
-            brute += int(np.count_nonzero((d1 * d2 < 0) & (d3 * d4 < 0)))
+        brute = _brute_force_crossings(fig_closed.z[:n])
         assert brute > 0
         assert self_intersections(head) == brute
 
@@ -610,6 +603,25 @@ class TestSelfIntersections:
             tracemalloc.stop()
         assert count == 1_166_030
         assert peak <= 32 * 2**20
+
+    def test_one_long_segment_coarsens_the_grid(self):
+        # 2,000 crossing steps of 9e-9 to 3.5e-8, then one jump of 1.41: at the mean
+        # segment length the jump's box alone held about 2,000,000 cells (92 MiB
+        # traced), and 50,000 such steps would have held 1.25e9
+        t = np.linspace(0.0, 6.0 * math.pi, 2001) + 0.123
+        z = 1.4e-6 * (1.0 + 0.01 * t) * (np.sin(t) + 1j * np.sin(2.0 * t))
+        z = np.append(z, z[-1] + (1 + 1j))
+        traj = synthetic_trajectory(np.arange(len(z), dtype=float), z)
+        tracemalloc.start()
+        try:
+            count = self_intersections(traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        brute = _brute_force_crossings(z)
+        assert brute > 0
+        assert count == brute
+        assert peak <= 4 * 2**20
 
 
 class TestSpiralWindows:

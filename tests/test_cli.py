@@ -442,6 +442,20 @@ class TestConfigFile:
         assert main(["sweep-e2", "--config", str(cfg_path), "--workers", "2"]) == EXIT_OK
         assert seen == [1, 2]
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    @pytest.mark.parametrize("source", ["flag", "key"])
+    def test_workers_below_one_is_a_config_error(self, workers, source, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_simulation", _never)
+        keys, flag = {"zeta": 0.1, "m": 3, "e2": "6.7"}, []
+        if source == "key":
+            keys["workers"] = workers
+        else:
+            flag = ["--workers", str(workers)]
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(keys))
+        assert main(["sweep-e2", "--config", str(cfg_path), *flag]) == EXIT_USAGE
+        assert f"config error: workers must be >= 1, got {workers}" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command,keys",
         [

@@ -226,6 +226,43 @@ class TestIntegrate:
         traj = integrate(0j, 1 + 1j, IntegratorConfig(t_max=100.0, max_steps=10), P)
         assert traj.termination is Termination.STEP_LIMIT
 
+    @pytest.mark.parametrize(
+        "termination,config",
+        [
+            (Termination.TIME_LIMIT, IntegratorConfig(t_max=10.0)),  # 140 kept steps
+            (Termination.STEP_LIMIT, replace(run_preset(1 + 1j, 150.0), max_steps=150)),  # 118
+            (Termination.DRIFT_EXCEEDED, replace(run_preset(1 + 1j, 150.0), energy_drift_limit=1e-11)),  # 316
+            (Termination.ESCAPED, IntegratorConfig(t_max=150.0, escape_radius=3.0)),  # 145
+        ],
+        ids=["time_limit", "step_limit", "drift_exceeded", "escaped"],
+    )
+    def test_samples_fill_the_arrays_at_every_end(self, termination, config, monkeypatch):
+        # the samples are emitted after the loop, in blocks of consecutive kept steps,
+        # into arrays allocated at the length the sample-count rule gives: a rule that
+        # disagrees with the emission leaves np.empty's garbage in the tail, or overruns
+        blocks, emit = [], integrator._emit
+
+        def recording_emit(steps, *args):
+            blocks.append(steps[:, 8].tolist())  # the steps' end times
+            return emit(steps, *args)
+
+        monkeypatch.setattr(integrator, "_emit", recording_emit)
+        p0 = initial_momentum(0j, 1 + 1j, MomentumBranch.PRINCIPAL, P)
+        traj = integrate(0j, p0, config, P)
+        assert traj.termination is termination
+        kept = sum(map(len, blocks))
+        assert kept == traj.n_accepted - (termination is Termination.DRIFT_EXCEEDED)
+        assert kept > integrator._BLOCK_STEPS and kept % integrator._BLOCK_STEPS
+        assert all(len(b) == integrator._BLOCK_STEPS for b in blocks[:-1])
+        for x in (traj.t, traj.z, traj.p, traj.drift):
+            assert np.all(np.isfinite(x))
+        assert np.all(np.diff(traj.t) > 0.0)
+        assert (len(traj) - 1) % MIN_SAMPLES_PER_STEP == 0
+        assert len(traj) - 1 >= MIN_SAMPLES_PER_STEP * kept
+        assert traj.t[-1] == blocks[-1][-1]
+        if termination is Termination.TIME_LIMIT:
+            assert traj.t[-1] == config.t_max
+
     def test_time_reversal(self):
         c = well_center(WellIndex(Side.LEFT, 0), P)
         z0 = complex(c.real, c.imag + 0.3)
