@@ -12,11 +12,12 @@ each ``sweep-e2`` row and the two ``threshold`` probes.  The one integrator
 setting is ``--t-max`` (key ``t_max``) of ``simulate`` and ``sweep-e2``, which
 replaces the preset's horizon; ``threshold`` has none.
 
-Exit codes: 0 success, 1 usage or config error, 2 numerical failure,
-3 ambiguous classification.
+Exit codes: 0 success, 1 usage, config or output-file error, 2 numerical
+failure, 3 ambiguous classification.
 
-Numeric output uses shortest round-trip decimal formatting, so identical
-configs produce byte-identical files.
+Numeric output uses shortest round-trip decimal formatting (a trajectory CSV block
+formats each distinct energy-error value once), so identical configs produce
+byte-identical files.
 
 ``sweep-e2`` rows and the 4096-row blocks of a trajectory CSV run through one
 helper, ``_pool_map``: one worker process per job, at most one per usable
@@ -25,13 +26,14 @@ default start method; under spawn or forkserver (Python 3.14's default on
 Linux) each pool start pays an import of the package per worker.  A sweep
 row is worth that import, a CSV block is not: the blocks use the pool only
 where it forks (the default start method is fork and this process is not
-daemonic) and for at least two blocks, and are formatted in process
+daemonic) and for at least three blocks, and are formatted in process
 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import multiprocessing
 import os
@@ -39,6 +41,8 @@ import sys
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+
+import numpy as np
 
 from .analysis import (
     TUNNELING_ESCAPE_RADIUS,
@@ -156,16 +160,22 @@ def _classification_payload(oc: OrbitClass) -> dict:
 
 
 def _csv_rows(cols: tuple) -> str:
-    """The trajectory CSV rows of one block of columns, each value its shortest round-trip repr."""
-    rows = zip(*(c.tolist() for c in cols))
-    return "".join(f"{t!r},{x!r},{y!r},{u!r},{v!r},{e!r},{f!r}\n" for t, x, y, u, v, e, f in rows)
+    """The trajectory CSV rows of one block of columns, each value its shortest round-trip repr;
+    the error columns' few values (H - E is exact) are formatted once per distinct bit pattern."""
+    rows = zip(*(c.tolist() for c in cols[:5]), *map(_distinct_reprs, cols[5:]))
+    return "".join(f"{t!r},{x!r},{y!r},{u!r},{v!r},{e},{f}\n" for t, x, y, u, v, e, f in rows)
 
 
-# Below two blocks a forked pool costs more than it saves: writing the head of
-# the tunneling figure on two CPUs took 17.4 ms against 15.7 ms in process at
-# 6,144 rows, and 18.5 ms against 21.2 ms at 8,192.
+def _distinct_reprs(col) -> list[str]:  # keyed on bits, so -0.0 stays apart from 0.0
+    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    return np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)[inverse].tolist()
+
+
+# A forked pool pays from about 13,000 rows, so it starts at three blocks: on two CPUs the
+# tunneling figure's head took 31.5 / 29.7 ms pooled / in process at 8,192 rows, 45.5 / 43.5
+# at 12,288, 45.4 / 46.0 at 13,312 and 52.1 / 59.5 at 16,353 (medians of 51, 2-vCPU x86-64).
 _CSV_BLOCK_ROWS = 4096
-_CSV_POOL_ROWS = 2 * _CSV_BLOCK_ROWS
+_CSV_POOL_ROWS = 3 * _CSV_BLOCK_ROWS
 
 
 def _forks_workers() -> bool:
@@ -178,10 +188,10 @@ def _forks_workers() -> bool:
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     """Write the samples as CSV: the header, then blocks of 4096 rows in order.
 
-    Float ``repr`` is most of the cost, so ``_pool_map`` formats the blocks, one
-    worker per block up to the usable CPUs, for at least two blocks and where a
-    pool forks; otherwise in this process.  Each block is written as it arrives.
-    The bytes do not depend on the workers.
+    Float ``repr`` is most of the cost: ``_csv_rows`` formats each distinct error value
+    of a block once, and ``_pool_map`` formats the blocks, one worker per block up to the
+    usable CPUs, for at least three blocks and where a pool forks; otherwise in this
+    process.  Each block is written as it arrives.  The bytes do not depend on the workers.
     """
     err1, err2 = traj.energy_component_errors()
     cols = (traj.t, traj.z.real, traj.z.imag, traj.p.real, traj.p.imag, err1, err2)
@@ -346,6 +356,7 @@ def cmd_sweep_e2(
 def write_sweep_csv(rows: list[dict], path: str) -> None:
     with open(path, "w") as fh:
         fh.write("e2,tau,dwell_left,dwell_right,n_left,n_right,error\n")
+        out = csv.writer(fh, lineterminator="\n")  # quotes a cell only if it holds a comma, quote or newline
         for r in rows:
             cells = [fmt(r["e2"])]
             for key in ("tau", "dwell_left", "dwell_right"):
@@ -353,7 +364,7 @@ def write_sweep_csv(rows: list[dict], path: str) -> None:
             for key in ("n_left", "n_right"):
                 cells.append("" if r[key] is None else str(r[key]))
             cells.append(r["error"])
-            fh.write(",".join(cells) + "\n")
+            out.writerow(cells)
 
 
 def write_wells_csv(params: SystemParams, n_min: int, n_max: int, fh) -> None:
@@ -496,6 +507,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERICAL
     except PtwellsError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # an output file that cannot be opened or written
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

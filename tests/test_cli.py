@@ -1,3 +1,4 @@
+import csv
 import json
 import multiprocessing
 import pathlib
@@ -6,6 +7,7 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from ptwells import (
@@ -236,9 +238,9 @@ class TestTrajectoryCsv:
             cli.write_trajectory_csv(fig_tunneling, str(tmp_path / f"cpus{cpus}.csv"))
         assert (tmp_path / "cpus1.csv").read_bytes() == (tmp_path / "cpus2.csv").read_bytes()
 
-    @pytest.mark.parametrize("rows,pooled", [(8191, False), (8192, True)])
+    @pytest.mark.parametrize("rows,pooled", [(12287, False), (12288, True)])
     def test_short_trajectory_starts_no_pool(self, rows, pooled, fig_closed, monkeypatch, tmp_path):
-        # the pool pays from two full blocks on
+        # the pool pays from three full blocks on
         head = replace(
             fig_closed, t=fig_closed.t[:rows], z=fig_closed.z[:rows], p=fig_closed.p[:rows], drift=fig_closed.drift[:rows]
         )
@@ -265,7 +267,7 @@ class TestTrajectoryCsv:
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
     def test_daemonic_caller_writes_in_process(self, fig_closed, monkeypatch, tmp_path):
         # a daemonic process, say a multiprocessing.Pool task, may have no children
-        assert len(fig_closed) > 2 * 4096
+        assert len(fig_closed) >= 3 * 4096
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         child = multiprocessing.get_context("fork").Process(
             target=cli.write_trajectory_csv, args=(fig_closed, str(tmp_path / "daemon.csv")), daemon=True
@@ -276,6 +278,26 @@ class TestTrajectoryCsv:
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
         cli.write_trajectory_csv(fig_closed, str(tmp_path / "serial.csv"))
         assert (tmp_path / "daemon.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+    # the error columns' edge values: both zeros, NaN, both infinities, the smallest subnormals
+    SPECIALS = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -5e-324, -0.0, 0.0, 5e-324, 1e-16]
+
+    @pytest.mark.parametrize(
+        "err1,err2",
+        [
+            (SPECIALS, SPECIALS[::-1]),
+            ([-0.0] * len(SPECIALS), SPECIALS),  # one repeated value
+            ([i * 1.1e-16 for i in range(len(SPECIALS))], [0.1 * i for i in range(len(SPECIALS))]),  # all distinct
+        ],
+        ids=["specials", "repeated", "distinct"],
+    )
+    def test_block_rows_equal_the_per_value_repr(self, err1, err2):
+        # each distinct error value is formatted once, keyed on its bits, so -0.0 stays apart from 0.0
+        n = len(err1)
+        values = [np.linspace(0.0, 1.0, n) + k for k in range(5)]
+        cols = tuple(np.array(c, dtype=np.float64) for c in (*values, err1, err2))
+        ref = "".join(",".join(repr(float(c[i])) for c in cols) + "\n" for i in range(n))
+        assert cli._csv_rows(cols) == ref
 
 
 def _no_pool(*args, **kwargs):
@@ -322,6 +344,22 @@ class TestSweepCommand:
         assert lines[1].startswith("6.7,")
         assert lines[2].startswith("4.0,")
 
+    @pytest.mark.parametrize("stub", [False, True], ids=["no_class_fits", "not_tunneling"])
+    def test_error_row_reads_back_as_seven_fields(self, stub, tmp_path, monkeypatch):
+        # both error messages hold a comma; the cell is quoted, so the row keeps the header's 7 fields
+        if stub:
+            monkeypatch.setattr(cli, "run_simulation", lambda config: {
+                "max_drift": 0.0, "drift_floor_rss": 0.0, "termination": "escaped",
+                "classification": {"kind": "open_escape", "escape_side": "left"},
+            })
+        out = tmp_path / "sweep.csv"
+        rows = cmd_sweep_e2(SystemParams(0.1, 3), -1.0, [0.3], t_max=5.0, out_path=str(out), workers=1)
+        assert "," in rows[0]["error"]
+        with open(out, newline="") as fh:
+            header, row = csv.reader(fh)
+        assert len(header) == len(row) == 7
+        assert row[:6] == ["0.3", "", "", "", "", ""] and row[6] == rows[0]["error"]
+
     def test_row_error_recorded(self, tmp_path):
         params = SystemParams(0.1, 3)
         # closed-orbit energy: classify fails to be tunneling, error column set
@@ -340,6 +378,23 @@ class TestSweepCommand:
         seen.clear()
         assert main([*args, "--t-max", "50"]) == EXIT_OK
         assert seen == [replace(run_preset(1 + 6.7j), t_max=50.0), replace(run_preset(1 + 0.3j), t_max=50.0)]
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--zeta", "0.1", "--M", "3", "--e", "0.8", "--start", CLOSED_START, "--t-max", "10",
+             "--trajectory-out"],
+            ["sweep-e2", "--zeta", "0.1", "--M", "3", "--e2", "6.7", "--t-max", "5", "--workers", "1", "--out"],
+        ],
+        ids=["simulate", "sweep-e2"],
+    )
+    def test_unwritable_output_is_one_line_error(self, args, tmp_path, capsys):
+        path = tmp_path / "missing" / "out.csv"
+        assert main([*args, str(path)]) == EXIT_USAGE
+        (line,) = capsys.readouterr().err.splitlines()  # one line, no traceback
+        assert line.startswith("error: cannot write output: ") and str(path) in line
 
 
 def _record_runs(monkeypatch) -> list:
