@@ -264,6 +264,7 @@ def measure_tunneling(traj: Trajectory, crossings: Sequence[CrossingEvent] | Non
 
 
 ANCHOR_RADIUS = 0.35
+_VOTE_PREFIX = 4096  # the samples the well vote reads first; each further pass reads 4x as many
 
 
 def anchor_episodes(traj: Trajectory) -> list[tuple[WellIndex, int, float]]:
@@ -276,10 +277,16 @@ def anchor_episodes(traj: Trajectory) -> list[tuple[WellIndex, int, float]]:
     reads off which wells the orbit actually visits, robustly even when
     spiral loops wrap across the imaginary axis.
     """
-    right, n, d = nearest_wells(traj.z, traj.params)
+    return _episodes(traj.z, traj.params, whole=True)[0]
+
+
+def _episodes(z: np.ndarray, params: SystemParams, whole: bool) -> tuple[list, int]:
+    """:func:`anchor_episodes` of ``z``, less a run at its end unless ``whole``; and 1 if sample 0 is in a run, else 0."""
+    right, n, d = nearest_wells(z, params)
+    inside = d < ANCHOR_RADIUS
     episodes: list[tuple[WellIndex, int, float]] = []
-    # the runs [i, j) of samples inside, from the edges of the inside mask padded with False
-    edges = np.flatnonzero(np.diff(np.concatenate(([False], d < ANCHOR_RADIUS, [False]))))
+    # the runs [i, j) inside, from the mask's edges, padded with False before and, if whole, after
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], inside, np.zeros(int(whole), bool)))))
     for i, j in zip(edges[::2].tolist(), edges[1::2].tolist()):
         k = i + int(np.argmin(d[i:j]))
         well = WellIndex(Side.RIGHT if right[k] else Side.LEFT, int(n[k]))
@@ -287,24 +294,28 @@ def anchor_episodes(traj: Trajectory) -> list[tuple[WellIndex, int, float]]:
             episodes.append((well, k, float(d[k])))
         elif d[k] < episodes[-1][2]:
             episodes[-1] = (well, k, float(d[k]))
-    return episodes
+    return episodes, int(inside[:1].any())
 
 
 def _vote_wells(traj: Trajectory) -> tuple[WellIndex, WellIndex]:
     """The (left, right) wells of the first visit episode on each side.
 
-    The first visits identify the pair the orbit initially oscillates
-    between; over long runs the anchors migrate to neighboring lattice
-    cells, which the first visits deliberately ignore.  The episode that
-    holds sample 0 is where the orbit starts, not a visit: an orbit
-    launched from a well center may leave that well for good.
+    The first visits identify the pair the orbit initially oscillates between; over long
+    runs the anchors migrate to neighboring lattice cells, which the first visits
+    deliberately ignore.  The episode that holds sample 0 is where the orbit starts, not
+    a visit: an orbit launched from a well center may leave that well for good.  The vote
+    reads a prefix of ``_VOTE_PREFIX`` samples, 4x longer on each pass, until both sides
+    have a visit or it is the whole run: the runs that end inside a prefix are the whole
+    run's first runs, so the pair is the whole run's.
     """
-    episodes = anchor_episodes(traj)
-    if episodes and nearest_well(complex(traj.z[0]), traj.params)[1] < ANCHOR_RADIUS:
-        episodes = episodes[1:]
-    first: dict[Side, WellIndex] = {}
-    for well, _, _ in episodes:
-        first.setdefault(well.side, well)
+    size = _VOTE_PREFIX
+    while True:
+        whole = size >= len(traj)
+        episodes, n_start = _episodes(traj.z[:size], traj.params, whole)
+        first = {well.side: well for well, _, _ in reversed(episodes[n_start:])}  # the earliest per side wins
+        if len(first) == 2 or whole:
+            break
+        size *= 4
     for side in (Side.LEFT, Side.RIGHT):
         if side not in first:
             raise InsufficientCrossingsError(f"the orbit never settles at a {side.value}-side well")
@@ -314,14 +325,13 @@ def _vote_wells(traj: Trajectory) -> tuple[WellIndex, WellIndex]:
 def tunnel_well_pair(traj: Trajectory) -> tuple[WellIndex, WellIndex]:
     """The (left, right) wells a tunneling orbit oscillates between.
 
-    Wells are identified by the orbit's closest-approach episodes (the
-    spiral cores pass within ~0.1 of their center), taking the first
-    visit per side.  A start inside a well's anchor radius is not a
-    visit to that well: the orbit from the center of left well -2 at
-    zeta=0.1, M=3, E=1+i oscillates between -1 and +19 and never returns
-    to -2.  The deepest |Re z| sample of a dwell is deliberately
-    not used as the witness: it sits on the outward excursion, whose y can
-    be a full lattice cell away from the orbited well.
+    Wells are identified by the orbit's closest-approach episodes (the spiral cores pass
+    within ~0.1 of their center), taking the first visit per side, read on a prefix of
+    the samples (``_vote_wells``).  A start inside a well's anchor radius is not a visit
+    to that well: the orbit from the center of left well -2 at zeta=0.1, M=3, E=1+i
+    oscillates between -1 and +19 and never returns to -2.  The deepest |Re z| sample of
+    a dwell is deliberately not used as the witness: it sits on the outward excursion,
+    whose y can be a full lattice cell away from the orbited well.
     """
     crossings = detect_axis_crossings(traj)
     if len(crossings) < 3 or traj.termination is Termination.ESCAPED:
@@ -430,7 +440,7 @@ def separatrix_offset(params: SystemParams, energy_real: float) -> float:
     a, qw = chart_accel(q, 0j)
     t = r_w / v0.real
     for _ in range(_LEAF_NEWTON):
-        w, v = chart_step(q, 0j, v0, a, qw, step_constants(t, coeffs))[:2]
+        w, v = chart_step(q, 0j, v0, a, qw, step_constants(t, coeffs))
         dt = (abs(w) - r_w) * abs(w) / (w.conjugate() * v).real  # d|s|/dt = Re(conj(s) s') / |s|
         t -= dt
         if abs(dt) <= 1e-15 * t:

@@ -55,7 +55,7 @@ from .analysis import (
     measure_tunneling,
     run_preset,
 )
-from .dynamics import SystemParams
+from .dynamics import SystemParams, _require_finite
 from .errors import (
     AmbiguousOrbitError,
     BracketingError,
@@ -340,6 +340,8 @@ def cmd_sweep_e2(
     """
     if not e2_list:
         raise DomainError("empty E2 list")
+    for e2 in e2_list:  # before the sign test, which a nan fails too
+        _require_finite(complex(e1, e2), "energy")
     if 0.0 in e2_list:
         raise DomainError("E2 = 0 is not a tunneling energy: every E2 must be nonzero")
     if not (all(e2 > 0 for e2 in e2_list) or all(e2 < 0 for e2 in e2_list)):

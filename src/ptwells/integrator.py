@@ -29,7 +29,8 @@ the 2^-j, so the step ends carry the orbit's time to one rounding.  At
 turns w by more than 1 rad, or scales |w| by more than e, is rejected and
 halved, and the next accepted step doubles the length back: the integer
 count k of turns about w = 0 then stays exact, and approaches to w = 0 are
-resolved.
+resolved.  The map returns (w, w'); the loop evaluates w'' and Q by
+``dynamics.chart_accel`` only at an accepted step's end and at a chart change.
 
 The loop keeps a record of each kept step (see ``_emit``).  After it, numpy
 emits the samples, ``_BLOCK_STEPS`` steps at a time, into arrays of their
@@ -81,7 +82,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import SystemParams, chart_accel, chart_coefficients, hamiltonian, potential
-from .dynamics import potential_array, potential_gradient
+from .dynamics import _require_finite, potential_array, potential_gradient
 from .errors import DomainError, NonFiniteStateError
 
 __all__ = [
@@ -219,8 +220,9 @@ def initial_momentum(
     """Momentum satisfying H(z0, p0) = energy: +/- sqrt(energy - V(z0)).
 
     The principal complex square root fixes the branch; NEGATED flips the
-    sign and hence the initial direction of travel.
+    sign and hence the initial direction of travel.  A non-finite energy raises DomainError.
     """
+    _require_finite(energy, "energy")
     p = cmath.sqrt(energy - potential(z0, params))
     return -p if branch is MomentumBranch.NEGATED else p
 
@@ -324,8 +326,8 @@ def step_constants(u, c: list[complex]):
 def chart_step(q, w: complex, v: complex, a: complex, qw: complex, pk: tuple[complex, complex, complex, complex]):
     """The exact flow map of w'^2 = 4 Q(w) over one step, on Q's coefficients ``q``
     (``dynamics.chart_coefficients``): from (w, w'), where w'' = a and Q(w) = qw, with
-    ``pk`` the :func:`step_constants` of the step length, the new w, w', w'' = 2 Q'(w)
-    and Q(w), the last two by ``dynamics.chart_accel``.
+    ``pk`` the :func:`step_constants` of the step length, the new w and w'.  The loop
+    evaluates w'' = 2 Q'(w) and Q(w) (``dynamics.chart_accel``) only for an accepted step.
 
     With f = 4Q, sigma = f''(w)/24, s = P - sigma, N = -w' P' + f'(w) s/2 + f(w) f'''(w)/24
     and D = 2 s^2 - f(w) f''''(w)/48, the new w is w + N/D (Whittaker & Watson, 20.6).
@@ -342,9 +344,8 @@ def chart_step(q, w: complex, v: complex, a: complex, qw: complex, pk: tuple[com
     ss = s * s
     n = a * s - v * dp + gam
     r = 1.0 / (2.0 * ss - bf)
-    wn = w + n * r
     vn = (v * (2.0 * s * (k + sig * ddp) + bf * ddp) - dp * (a * (2.0 * ss + bf) + 4.0 * s * gam)) * r * r
-    return wn, vn, *chart_accel(q, wn)
+    return w + n * r, vn
 
 
 # the step length at rel_tol 1e-10: h l = 0.52, with l = max(|g2|^(1/4), |g3|^(1/6)) the
@@ -393,7 +394,8 @@ def _emit(steps: np.ndarray, q, table: dict[float, list], coeffs: list[complex],
     parts = [table[x][1] for x in lengths]
     n = [x.shape[1] for x in parts]
     theta, *pk = np.concatenate(parts, axis=1)
-    w, v, a, _ = chart_step(q, *np.repeat(steps[:, :8].view(complex).T, n, axis=1), pk)
+    w, v = chart_step(q, *np.repeat(steps[:, :8].view(complex).T, n, axis=1), pk)
+    a, _ = chart_accel(q, w)
     t1, h, c, k, ph1, drift = np.repeat(steps[:, 8:].T, n, axis=1)
     aw = np.abs(w)
     ph = np.angle(w)
@@ -460,7 +462,7 @@ def integrate(
         entry = table.get(h)
         if entry is None:
             entry = table[h] = [step_constants(h, coeffs)]
-        wn, vn, an, qn = chart_step(q, w, v, a, qw, entry[0])
+        wn, vn = chart_step(q, w, v, a, qw, entry[0])
         awn, avn = abs(wn), abs(vn)
         if not (0.0 < awn < inf and avn < inf):
             raise NonFiniteStateError(f"state leaves the chart at t={t!r}: w={wn!r}, w'={vn!r}")
@@ -476,6 +478,7 @@ def integrate(
         t = t_max if last_step else t_end
         units += scale
         n_acc += 1
+        an, qn = chart_accel(q, wn)
         # the projection onto I = 0, grad I = (-2 w'', 2 w'); I is the step's energy error
         res = vn * vn - 4.0 * qn
         gg = abs(an) ** 2 + avn * avn

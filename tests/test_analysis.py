@@ -286,6 +286,40 @@ class TestWellPair:
             cut = replace(traj, z=z)
             assert anchor_episodes(cut) == _anchor_episodes_loop(cut)
 
+    @pytest.mark.parametrize(
+        "case,pair",
+        [
+            ("fig_tunneling", (-10, 10)),
+            ("start_at_left_well_-2", (-1, 19)),
+            ("start_straddles_the_first_prefix", (-1, 19)),
+            ("run_across_the_prefix_end_changes_wells", (-5, 7)),
+        ],
+        ids=["fig_tunneling", "start_at_left_well_-2", "start_straddles_the_first_prefix", "run_across_the_prefix_end"],
+    )
+    def test_prefix_vote_equals_the_whole_run_vote(self, case, pair, request):
+        # the vote reads a growing prefix of the samples; its pair is the one the
+        # first visits of the whole run's episodes give
+        traj = request.getfixturevalue(case) if case == "fig_tunneling" else _VOTE_CASES[case]()
+        expected = _vote_on_every_sample(traj)
+        assert (expected[0].n, expected[1].n) == pair
+        assert analysis._vote_wells(traj) == expected
+
+    def test_prefix_vote_from_a_well_center_drops_the_start(self):
+        traj = _VOTE_CASES["start_at_left_well_-2"]()
+        episodes = anchor_episodes(traj)
+        assert episodes[0][0] == WellIndex(Side.LEFT, -2) and episodes[0][1] == 0
+        # the first visits lie past the first prefix: the vote must read on
+        assert episodes[1][1] > analysis._VOTE_PREFIX and episodes[2][1] > analysis._VOTE_PREFIX
+        assert tunnel_well_pair(traj) == (WellIndex(Side.LEFT, -1), WellIndex(Side.RIGHT, 19))
+
+    def test_prefix_vote_on_one_side_raises_as_the_whole_run(self):
+        traj = _VOTE_CASES["left_side_only"]()
+        assert len(traj) > 16 * analysis._VOTE_PREFIX  # every prefix is read, up to the whole run
+        with pytest.raises(InsufficientCrossingsError) as whole:
+            _vote_on_every_sample(traj)
+        with pytest.raises(InsufficientCrossingsError, match=str(whole.value)):
+            analysis._vote_wells(traj)
+
     def test_episode_sequence_alternates_sides(self, fig_tunneling):
         episodes = anchor_episodes(fig_tunneling)
         assert len(episodes) >= 4
@@ -294,6 +328,83 @@ class TestWellPair:
         # all complete visits spiral deep into their well's core
         for _, _, d in episodes[:-1]:
             assert d < 0.2
+
+
+def _vote_on_every_sample(traj):
+    """The well vote on the whole run, the reference: the first episode per side of
+    anchor_episodes, less the episode of a start inside the anchor radius."""
+    episodes = anchor_episodes(traj)
+    if episodes and nearest_well(complex(traj.z[0]), traj.params)[1] < analysis.ANCHOR_RADIUS:
+        episodes = episodes[1:]
+    first = {}
+    for well, _, _ in episodes:
+        first.setdefault(well.side, well)
+    for side in (Side.LEFT, Side.RIGHT):
+        if side not in first:
+            raise InsufficientCrossingsError(f"the orbit never settles at a {side.value}-side well")
+    return first[Side.LEFT], first[Side.RIGHT]
+
+
+def _polyline(start, legs):
+    """Samples from ``start`` along straight legs (end point, samples on the leg), as a trajectory."""
+    z, a = [], start
+    for b, n in legs:
+        z.append(np.linspace(a, b, n, endpoint=False))
+        a = b
+    z = np.concatenate(z + [[a]])
+    return synthetic_trajectory(np.arange(len(z)) * 0.01, z)
+
+
+def _visit(well, n):
+    """Legs from the imaginary axis into a well's center and back, at the well's height."""
+    c = well_center(well, P)
+    return [(complex(0.0, c.imag), n), (c, n), (complex(0.0, c.imag), n)]
+
+
+def _start_straddles_the_first_prefix():
+    # 5,000 samples on a circle of radius 0.1 about the start, the center of left -2,
+    # then left -1 near sample 7,000, up and down the imaginary axis (over 2 from every
+    # center) to past sample 16,384, then right +19, left -3 and right +5
+    c = well_center(WellIndex(Side.LEFT, -2), P)
+    circle = [(c + 0.1 * np.exp(1j * a), 50) for a in np.linspace(0.0, 2.0 * math.pi, 101)[1:]]
+    axis = [(complex(0.0, 20.0), 3000), (complex(0.0, -20.0), 3000)] * 2
+    wells = [WellIndex(Side.RIGHT, 19), WellIndex(Side.LEFT, -3), WellIndex(Side.RIGHT, 5)]
+    legs = circle + _visit(WellIndex(Side.LEFT, -1), 400) + axis + [v for w in wells for v in _visit(w, 400)]
+    traj, n = _polyline(c + 0.1, legs), analysis._VOTE_PREFIX
+    assert np.all(nearest_wells(traj.z[: n + 100], P)[2] < analysis.ANCHOR_RADIUS)
+    assert min(k for w, k, _ in anchor_episodes(traj) if w.side is Side.RIGHT) > 4 * n
+    return traj
+
+
+def _run_across_the_prefix_end_changes_wells():
+    # one run of samples inside the anchor radius across the end of the first prefix:
+    # 0.3 from right 0 before it, at the center of left +2 from it on, so the whole run's
+    # closest approach, and its well, lie past the prefix; right +7 comes later
+    n = analysis._VOTE_PREFIX
+    head = _polyline(0j, _visit(WellIndex(Side.LEFT, -5), 300) + [(0j, n - 96 - 900)]).z
+    run = [well_center(WellIndex(Side.RIGHT, 0), P) + 0.3] * 96 + [well_center(WellIndex(Side.LEFT, 2), P)] * 100
+    tail = _polyline(0j, _visit(WellIndex(Side.RIGHT, 7), 300)).z
+    z = np.concatenate([head[:-1], run, tail])  # the head holds n - 96 samples
+    return synthetic_trajectory(np.arange(len(z)) * 0.01, z)
+
+
+def _left_side_only():
+    wells = [WellIndex(Side.LEFT, n) for n in (-1, 0, 1, 0)] * 6
+    return _polyline(0j, [v for w in wells for v in _visit(w, 1000)])
+
+
+def _start_at_left_well_minus_2():
+    z0 = well_center(WellIndex(Side.LEFT, -2), P)
+    p0 = initial_momentum(z0, 1 + 1j, MomentumBranch.PRINCIPAL, P)
+    return integrate(z0, p0, run_preset(1 + 1j, 60.0), P)
+
+
+_VOTE_CASES = {
+    "start_at_left_well_-2": _start_at_left_well_minus_2,
+    "start_straddles_the_first_prefix": _start_straddles_the_first_prefix,
+    "run_across_the_prefix_end_changes_wells": _run_across_the_prefix_end_changes_wells,
+    "left_side_only": _left_side_only,
+}
 
 
 def _anchor_episodes_loop(traj):

@@ -397,6 +397,30 @@ class TestOutputErrors:
         assert line.startswith("error: cannot write output: ") and str(path) in line
 
 
+class TestNonFiniteEnergy:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sweep-e2", "--e2", "inf"],
+            ["sweep-e2", "--e1", "nan", "--e2", "1"],
+            ["sweep-e2", "--e2", "nan"],
+            ["simulate", "--e", "nan+1i"],
+            ["simulate", "--e", "inf"],
+        ],
+        ids=["sweep_e2_inf", "sweep_e1_nan", "sweep_e2_nan", "simulate_nan_real_part", "simulate_inf"],
+    )
+    def test_is_a_config_error_before_any_run(self, args, monkeypatch, capsys):
+        # the energy is refused, and named, before a pool starts or a run integrates
+        def no_call(*args, **kwargs):
+            raise AssertionError("called with a non-finite energy")
+
+        monkeypatch.setattr(cli, "_pool_map", no_call)
+        monkeypatch.setattr(cli, "integrate", no_call)
+        assert main([*args, "--zeta", "0.1", "--M", "3"]) == EXIT_USAGE
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: energy must be finite, got ")
+
+
 def _record_runs(monkeypatch) -> list:
     """Replace run_simulation by a stub that records each row's integrator config."""
     seen = []

@@ -199,9 +199,10 @@ class TestIntegrate:
         assert unbounded.termination is Termination.DRIFT_EXCEEDED
         assert unbounded.n_accepted == n and np.array_equal(unbounded.t, traj.t)
 
-    def test_kernel_is_called_only_where_the_loop_enters_a_chart(self, monkeypatch):
-        # the flow map evaluates w'' and Q at the new point itself: the loop calls
-        # the kernel once at the start and once per chart change
+    def test_kernel_is_called_once_per_accepted_step_and_chart_entry(self, monkeypatch):
+        # the flow map returns (w, w') alone: the loop evaluates w'' and Q once at the
+        # start, once at each accepted step's end and once per chart change, and never
+        # at the end of a rejected attempt
         calls = []
 
         def counting_chart_accel(q, w):
@@ -213,6 +214,7 @@ class TestIntegrate:
         p0 = initial_momentum(0j, 1 + 1j, MomentumBranch.PRINCIPAL, P)
         traj = integrate(0j, p0, IntegratorConfig(t_max=80.0), P)
         assert traj.termination is Termination.TIME_LIMIT
+        assert traj.n_rejected > 0  # an attempt the count would include if the loop evaluated it
         # the side of Re z = 0 at the start and at every MIN_SAMPLES_PER_STEP-th sample
         # but the last, among them every step end but the last, which ends the run
         # without a chart change: a crossing changes the chart at the end of its step,
@@ -220,7 +222,7 @@ class TestIntegrate:
         right = traj.z.real[:-1:MIN_SAMPLES_PER_STEP] > 0.0
         changes = int(np.count_nonzero(np.diff(right)))
         assert changes >= 4
-        assert len(calls) == 1 + changes
+        assert len(calls) == 1 + traj.n_accepted + changes
 
     def test_step_limit(self):
         traj = integrate(0j, 1 + 1j, IntegratorConfig(t_max=100.0, max_steps=10), P)
