@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -81,7 +81,7 @@ TAU_SCALE = 16.0
 TUNNELING_ESCAPE_RADIUS = 12.0
 
 # Distance in (z, p), as a 4-real-vector, within which a real-energy run is back at its start
-# after one real period: a closed orbit to rounding (9.2e-15 on the closed figure), an open one i pi off.
+# after one real period: a closed orbit to rounding (9.4e-15 on the closed figure), an open one i pi off.
 RETURN_TOL = 1e-8
 
 
@@ -352,41 +352,34 @@ def _closed_period(traj: Trajectory) -> float | None:
     """The period of a closed orbit, or None if the run shows none.
 
     A run shorter than the real period omega_R of its lattice
-    (``integrator.real_period``), or on a lattice with no finite real period,
-    shows none.  Otherwise 0.0 for a run that never leaves the ball of radius
-    ``RETURN_TOL`` about its start (an equilibrium), else omega_R if the state
-    at t = omega_R, one exact step from the last sample at or before it, lies
+    (``integrator.real_period``), on a lattice with no finite real period, or
+    built from samples alone, without step records, shows none.  Otherwise 0.0
+    for a run that never leaves the ball of radius ``RETURN_TOL`` about its start
+    (an equilibrium), else omega_R if its ``Trajectory.state_at(omega_R)`` lies
     within ``RETURN_TOL`` of the start.
     """
     try:
         period = real_period(*chart_invariants(chart_coefficients(traj.params, traj.energy)))
     except DomainError:
         return None
-    if traj.t[-1] < period:
+    if traj.t[-1] < period or traj.steps is None:
         return None
     if np.all(_return_miss(traj, traj.z, traj.p) <= RETURN_TOL):
         return 0.0
-    i = int(np.searchsorted(traj.t, period, side="right")) - 1
-    z, p, h = complex(traj.z[i]), complex(traj.p[i]), period - float(traj.t[i])
-    if h > 0.0:
-        end = integrate(z, p, replace(traj.config, t_max=h), traj.params)
-        if end.termination is not Termination.TIME_LIMIT:
-            return None
-        z, p = complex(end.z[-1]), complex(end.p[-1])
-    return period if _return_miss(traj, z, p) <= RETURN_TOL else None
+    return period if _return_miss(traj, *traj.state_at(period)) <= RETURN_TOL else None
 
 
 def classify_orbit(traj: Trajectory, crossings: Sequence[CrossingEvent] | None = None) -> OrbitClass:
     """Closed, open-escape, or tunneling; anything else raises.
 
     Closed: a run with no axis crossing that did not escape and is back at its
-    start after one real period, to within ``RETURN_TOL`` in (z, p): its period
-    is omega_R (see ``_closed_period``).  At real energy every orbit is back
-    after omega_R, an open one shifted by i pi in z.  Open escape: the run
-    escaped with at most one crossing.  Tunneling: at least three alternating
-    crossings on a run that did not escape; drift- or step-terminated runs
-    classify on their retained (certified) samples.  The axis crossings are
-    found here unless given.
+    start at one real period omega_R (``Trajectory.state_at``), to within
+    ``RETURN_TOL`` in (z, p); its period is omega_R (see ``_closed_period``).  At
+    real energy every orbit is back after omega_R, an open one shifted by i pi
+    in z.  Open escape: the run escaped with at most one crossing.  Tunneling:
+    at least three alternating crossings on a run that did not escape; drift-
+    or step-terminated runs classify on their retained (certified) samples.
+    The axis crossings are found here unless given.
     """
     if crossings is None:
         crossings = detect_axis_crossings(traj)

@@ -314,10 +314,9 @@ def _usable_cpus() -> int:
 
 def _pool_map(fn, jobs: list, workers: int | None = None) -> Iterator:
     """``fn(job)`` for each job, yielded in order: in this process for one worker or one
-    job, else on a pool of ``workers``, by default one per job up to the usable CPUs."""
-    if workers is None:
-        workers = min(len(jobs), _usable_cpus())
-    if workers <= 1 or len(jobs) == 1:
+    job, else on a pool of ``workers``, by default the usable CPUs, and at most one per job."""
+    workers = min(len(jobs), _usable_cpus() if workers is None else workers)
+    if workers <= 1:
         yield from map(fn, jobs)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -41,11 +41,11 @@ step over 8, the spacing the polyline analyses rest on).  Each is mapped,
 with its step's chart c (+1 on the left, -1 on the right) and turn count, to
 z = c (ln|w| + i (arg w + 2 pi k)) / 2 and p = c w' / (4w).  The samples are
 not projected: the map runs from a step start that is already on the shell,
-and keeps them there to rounding.
+and keeps them there to rounding.  ``Trajectory.state_at`` maps any t alike.
 
 At real E the lattice has a real period omega_R (:func:`real_period`): after it
 every orbit of that energy is back at its start, shifted by i pi k in z, by which
-``analysis`` classifies it.
+``analysis`` classifies it from ``Trajectory.state_at(omega_R)``.
 
 After each step the state is projected onto the energy shell
 I = w'^2 - 4 Q(w) = 0 by one Newton step along conj(grad I) / |grad I|^2
@@ -77,7 +77,7 @@ import itertools
 import math
 from collections import Counter
 from struct import Struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -177,10 +177,10 @@ class Trajectory:
     accepted step but the last.  ``n_accepted`` counts the accepted steps the
     loop took.  ``drift[i]`` is the energy error of the step that sample i
     belongs to: |H - E| / max(1, |E|) of the step's end before the projection
-    onto the shell, bounded by the integration config's ``energy_drift_limit``
-    for every retained sample (0 at the start).  ``drift_floor_rss`` is the
-    root sum of squares of the per-sample floors eps (|dV/dz| |z| + 2 |p|^2) /
-    max(1, |E|) over the retained samples.
+    onto the shell, at most the run's ``energy_drift_limit`` (0 at the start).
+    ``drift_floor_rss`` is the root sum of squares of the per-sample floors
+    eps (|dV/dz| |z| + 2 |p|^2) / max(1, |E|) over the retained samples.
+    ``steps`` holds the record of each kept step (``_emit``), for :meth:`state_at`.
     """
 
     params: SystemParams
@@ -192,8 +192,8 @@ class Trajectory:
     termination: Termination
     n_accepted: int = 0
     n_rejected: int = 0
-    config: IntegratorConfig = field(default_factory=IntegratorConfig)
     drift_floor_rss: float = 0.0
+    steps: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.t)
@@ -209,6 +209,21 @@ class Trajectory:
         err1 = (h.real - e1_0) / max(1.0, abs(e1_0))
         err2 = (h.imag - e2_0) / max(1.0, abs(e2_0))
         return err1, err2
+
+    def state_at(self, t: float) -> tuple[complex, complex]:
+        """(z, p) at time t of the run as the samples are made (``_emit``): :func:`chart_step` over t from its step's
+        start.  A t outside [0, t[-1]], or a Trajectory without step records, raises DomainError."""
+        if self.steps is None or len(self.steps) == 0:
+            raise DomainError("the trajectory keeps no step records to read a state from")
+        if not 0.0 <= t <= self.t[-1]:
+            raise DomainError(f"t={t!r} lies outside the run, [0, {float(self.t[-1])!r}]")
+        row = self.steps[np.searchsorted(self.steps[:, 8], t)]  # the first step that ends at or after t
+        w, v, a, qw = row[:8].view(complex)
+        u = t - (row[8] - row[9])
+        if abs(u) > _EPS * max(1.0, t):  # else the state is the step's start, to one rounding of t
+            q = chart_coefficients(self.params, self.energy)
+            w, v = chart_step(q, w, v, a, qw, step_constants(u, laurent_coefficients(*chart_invariants(q))))
+        return _chart_point(w, v, *row[10:13])
 
 
 def initial_momentum(
@@ -372,6 +387,13 @@ def _sample_count(h: float, h_max: float) -> int:
     return min(SAMPLES_PER_STEP, MIN_SAMPLES_PER_STEP * math.ceil(4.0 * h / h_max))
 
 
+def _chart_point(w, v, c, k, ph1):
+    """(z, p) of chart states (w, w') in chart c whose arg w lies within 1 rad of ph1, the arg at turn count k."""
+    ph = np.angle(w)
+    k = k + np.round((ph1 - ph) / _TWO_PI)
+    return 0.5 * c * (np.log(np.abs(w)) + 1j * (ph + k * _TWO_PI + k * _TWO_PI_LO)), 0.25 * c * v / w
+
+
 def _emit(steps: np.ndarray, q, table: dict[float, list], coeffs: list[complex], h_max: float) -> tuple[np.ndarray, ...]:
     """The samples of a block of kept steps.
 
@@ -397,13 +419,9 @@ def _emit(steps: np.ndarray, q, table: dict[float, list], coeffs: list[complex],
     w, v = chart_step(q, *np.repeat(steps[:, :8].view(complex).T, n, axis=1), pk)
     a, _ = chart_accel(q, w)
     t1, h, c, k, ph1, drift = np.repeat(steps[:, 8:].T, n, axis=1)
-    aw = np.abs(w)
-    ph = np.angle(w)
-    k += np.round((ph1 - ph) / _TWO_PI)  # arg w within 1 rad of the step end's
-    z = 0.5 * c * (np.log(aw) + 1j * (ph + k * _TWO_PI + k * _TWO_PI_LO))
-    p = 0.25 * c * v / w
+    z, p = _chart_point(w, v, c, k, ph1)
     # |dV/dz| = |dp/dt| = |w'' w - w'^2| / (4 |w|^2) and |p| = |w'| / (4 |w|)
-    floor = (np.abs(a * w - v * v) * np.abs(z) + 0.5 * np.abs(v) ** 2) / (4.0 * aw * aw)
+    floor = (np.abs(a * w - v * v) * np.abs(z) + 0.5 * np.abs(v) ** 2) / (4.0 * np.abs(w) ** 2)
     return t1 - (1.0 - theta.real) * h, z, p, drift, floor
 
 
@@ -539,6 +557,6 @@ def integrate(
         termination=termination,
         n_accepted=n_acc,
         n_rejected=n_rej,
-        config=config,
         drift_floor_rss=_EPS * math.sqrt(floor_sq) / e_scale,
+        steps=steps,
     )

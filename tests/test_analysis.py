@@ -184,6 +184,8 @@ class TestClassification:
         assert len(traj) == 1 and traj.termination is Termination.DRIFT_EXCEEDED
         with pytest.raises(AmbiguousOrbitError):
             classify_orbit(traj)
+        with pytest.raises(DomainError, match="no step records"):  # it kept no step
+            traj.state_at(0.0)
 
     @pytest.mark.parametrize("n", range(-3, 4))
     @pytest.mark.parametrize("direction", [1, -1])
@@ -472,16 +474,15 @@ class TestReturnStop:
 
     @pytest.mark.parametrize("offset", [0.2, 0.4740, 0.52, 0.54, 0.6])
     def test_period_is_the_last_segment_return(self, offset):
-        # classify_orbit's rule on a run past omega_R: one exact step from the last
-        # sample before omega_R lands on the start, or, for the open starts (0.54,
-        # 0.6, run on with the cell exit lifted), on the start shifted by +-i pi
+        # classify_orbit's rule on a run past omega_R: the exact map of the step that
+        # holds omega_R, from its start (Trajectory.state_at), lands on the start, or,
+        # for the open starts (0.54, 0.6, run on with the cell exit lifted), on the
+        # start shifted by +-i pi
         start = _probe_start(offset)
         traj = integrate(*start, replace(run_preset(0.8, 2.0), escape_y_span=math.inf), P)
         assert traj.termination is Termination.TIME_LIMIT
-        i = int(np.searchsorted(traj.t, OMEGA_R)) - 1
-        end = integrate(complex(traj.z[i]), complex(traj.p[i]), replace(traj.config, t_max=OMEGA_R - traj.t[i]), P)
-        assert end.n_accepted == 1 and end.termination is Termination.TIME_LIMIT
-        dz, dp = end.z[-1] - start[0], end.p[-1] - start[1]
+        z, p = traj.state_at(OMEGA_R)
+        dz, dp = z - start[0], p - start[1]
         shift = math.copysign(math.pi, dz.imag) if offset > separatrix_offset(P, 0.8) else 0.0
         assert abs(dz - 1j * shift) <= 1e-12 and abs(dp) <= 1e-12
         if shift:
@@ -499,9 +500,9 @@ class TestReturnStop:
     def test_online_return_is_the_replayed_one(self, n, offset):
         # the boundary probes above left wells 0 and -2 and criterion 7(d)'s starts,
         # with the cell exit lifted: a run stopped at omega_R, as the probes are, and
-        # a longer run stepped on from its last sample before omega_R, as
-        # classify_orbit does, reach the same state, the start or the start shifted
-        # by +-i pi, and get the same class
+        # a longer run read at omega_R from its step records, as classify_orbit
+        # reads it, reach the same state, the start or the start shifted by +-i pi,
+        # and get the same class
         if isinstance(offset, str):
             offset = separatrix_offset(P, 0.8) + (0.5 if offset == "open probe" else -0.5) * BOUNDARY_WIDTH
         c = well_center(WellIndex(Side.LEFT, n), P)
@@ -510,9 +511,8 @@ class TestReturnStop:
         cfg = replace(run_preset(0.8), escape_y_span=math.inf)
         online = integrate(z0, p0, replace(cfg, t_max=OMEGA_R), P)
         longer = integrate(z0, p0, replace(cfg, t_max=2.0), P)
-        i = int(np.searchsorted(longer.t, OMEGA_R)) - 1
-        replayed = integrate(complex(longer.z[i]), complex(longer.p[i]), replace(cfg, t_max=OMEGA_R - longer.t[i]), P)
-        assert abs(online.z[-1] - replayed.z[-1]) <= 1e-12 and abs(online.p[-1] - replayed.p[-1]) <= 1e-12
+        z, p = longer.state_at(OMEGA_R)
+        assert abs(online.z[-1] - z) <= 1e-12 and abs(online.p[-1] - p) <= 1e-12
         dz = online.z[-1] - z0
         opened = offset > separatrix_offset(P, 0.8)
         assert abs(abs(dz.imag) - (math.pi if opened else 0.0)) <= 1e-12 and abs(dz.real) <= 1e-12

@@ -644,6 +644,30 @@ class TestPoolSizing:
         assert [r["e2"] for r in rows] == [6.7, 3.2]
         assert len(seen) == 2
 
+    def test_explicit_workers_are_capped_at_the_jobs(self, monkeypatch):
+        # a pool that forks starts all of its workers with its first task, so 64 workers
+        # asked for two rows would fork 64 processes; a recorder stands in for the pool
+        asked = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+        assert list(cli._pool_map(abs, [-1, -2], workers=64)) == [1, 2]
+        assert list(cli._pool_map(abs, [-1, -2, -3], workers=2)) == [1, 2, 3]
+        assert asked == [2, 2]
+        assert list(cli._pool_map(abs, [-1], workers=64)) == [1] and asked == [2, 2]  # one job: in process
+
 
 class TestThresholdCommand:
     def test_bracket_failure_exit(self, monkeypatch, capsys):
