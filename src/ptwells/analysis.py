@@ -37,6 +37,7 @@ from .integrator import (
     laurent_coefficients,
     real_period,
     step_constants,
+    step_length,
 )
 from .wells import Side, WellIndex, nearest_well, nearest_wells, well_center, well_x
 
@@ -421,23 +422,40 @@ def separatrix_offset(params: SystemParams, energy_real: float) -> float:
     the leaf onto the one with s' = -2 zeta, so the offset (arg s + pi/2)/2 holds
     for every well and both directions.
 
-    The crossing time t solves |s(t)| = r_w by Newton's method on the exact flow
-    map ``integrator.chart_step`` from s = 0, one step of length t, started at the
-    free-flight time r_w / (2 zeta).
+    The leaf is walked from s = 0 by the exact flow map ``integrator.chart_step``,
+    in steps of the length ``integrate`` takes on its lattice (``step_length``), up
+    to the first step end with |s| >= r_w.  Inside that step Newton's method on the
+    map solves |s(u)| = r_w from the linear guess.  A leaf that does not reach the
+    well line within one real period (``real_period``), and a complex energy, at
+    which no orbit is closed, raise DomainError.
     """
     energy = complex(energy_real)
+    if energy.imag != 0.0:
+        raise DomainError(f"the separatrix needs a real energy, got {energy_real!r}")
     q = chart_coefficients(params, energy)
-    coeffs = laurent_coefficients(*chart_invariants(q))
+    g2, g3 = chart_invariants(q)
+    coeffs = laurent_coefficients(g2, g3)
+    h = step_length(g2, g3, IntegratorConfig.rel_tol)
+    pk = step_constants(h, coeffs)
     r_w = math.exp(-2.0 * well_x(params))
-    v0 = complex(2.0 * params.zeta)
-    a, qw = chart_accel(q, 0j)
-    t = r_w / v0.real
+    w, v = 0j, complex(2.0 * params.zeta)
+    for _ in range(math.ceil(real_period(g2, g3) / h)):
+        a, qw = chart_accel(q, w)
+        w1, v1 = chart_step(q, w, v, a, qw, pk)
+        if abs(w1) >= r_w:
+            break
+        w, v = w1, v1
+    else:
+        raise DomainError(
+            f"the separatrix leaf does not reach the well line |s| = r_w in one real period ({params}, E={energy_real!r})"
+        )
+    u = h * (r_w - abs(w)) / (abs(w1) - abs(w))
     for _ in range(_LEAF_NEWTON):
-        w, v = chart_step(q, 0j, v0, a, qw, step_constants(t, coeffs))
-        dt = (abs(w) - r_w) * abs(w) / (w.conjugate() * v).real  # d|s|/dt = Re(conj(s) s') / |s|
-        t -= dt
-        if abs(dt) <= 1e-15 * t:
-            return 0.5 * (cmath.phase(w) + 0.5 * math.pi)
+        s, ds = chart_step(q, w, v, a, qw, step_constants(u, coeffs))
+        du = (abs(s) - r_w) * abs(s) / (s.conjugate() * ds).real  # d|s|/du = Re(conj(s) s') / |s|
+        u -= du
+        if abs(du) <= 1e-15 * h:
+            return 0.5 * (cmath.phase(s) + 0.5 * math.pi)
     raise AmbiguousOrbitError(
         f"the separatrix leaf did not land on |s| = r_w within {_LEAF_NEWTON} Newton steps "
         f"({params}, E={energy_real!r})"

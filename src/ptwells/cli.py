@@ -33,6 +33,7 @@ otherwise.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import multiprocessing
@@ -118,9 +119,6 @@ class RunConfig:
     trajectory_path: str | None = None
     events_path: str | None = None
     summary_path: str | None = None
-
-    def start_point(self) -> complex:
-        return _resolve_start(self.start, self.params)
 
 
 def _resolve_start(spec: str, params: SystemParams) -> complex:
@@ -216,7 +214,7 @@ def run_simulation(config: RunConfig) -> dict:
 
     Raises the underlying package error when the run cannot be analyzed.
     """
-    z0 = config.start_point()
+    z0 = _resolve_start(config.start, config.params)
     p0 = initial_momentum(z0, config.energy, config.branch, config.params)
     traj = integrate(z0, p0, config.integrator, config.params)
     crossings = detect_axis_crossings(traj)
@@ -265,41 +263,20 @@ def run_simulation(config: RunConfig) -> dict:
     return summary
 
 
-def _sweep_row(args: tuple) -> dict:
-    """Worker for one sweep row; never raises, reports failures in 'error'."""
-    zeta, m_int, e1, e2, cfg = args
-    row = {
-        "e2": e2,
-        "tau": None,
-        "dwell_left": None,
-        "dwell_right": None,
-        "n_left": None,
-        "n_right": None,
-        "error": "",
-        "max_drift": None,
-        "drift_floor_rss": None,
-        "termination": None,
-    }
+def _sweep_row(config: RunConfig) -> dict:
+    """Worker for one sweep row, the run of ``config`` at E2 = Im E; never raises, reports failures in 'error'."""
+    row = dict.fromkeys(("e2", "tau", "dwell_left", "dwell_right", "n_left", "n_right", "error"))
+    row.update(e2=config.energy.imag, error="", max_drift=None, drift_floor_rss=None, termination=None)
     try:
-        config = RunConfig(
-            params=SystemParams(zeta, m_int),
-            energy=complex(e1, e2),
-            start="origin",
-            branch=MomentumBranch.PRINCIPAL,
-            integrator=cfg,
-        )
         summary = run_simulation(config)
-        row["max_drift"] = summary["max_drift"]
-        row["drift_floor_rss"] = summary["drift_floor_rss"]
-        row["termination"] = summary["termination"]
-        if summary["classification"]["kind"] != OrbitKind.TUNNELING.value:
-            row["error"] = f"classified {summary['classification']['kind']}, not tunneling"
+        row.update((key, summary[key]) for key in ("max_drift", "drift_floor_rss", "termination"))
+        kind = summary["classification"]["kind"]
+        if kind != OrbitKind.TUNNELING.value:
+            row["error"] = f"classified {kind}, not tunneling"
             return row
-        row["tau"] = summary["tunneling"]["tau"]
-        row["dwell_left"] = summary["tunneling"]["dwell_left"]
-        row["dwell_right"] = summary["tunneling"]["dwell_right"]
-        row["n_left"] = summary["classification"]["wells"]["left"]["n"]
-        row["n_right"] = summary["classification"]["wells"]["right"]["n"]
+        row.update((key, summary["tunneling"][key]) for key in ("tau", "dwell_left", "dwell_right"))
+        wells = summary["classification"]["wells"]
+        row["n_left"], row["n_right"] = wells["left"]["n"], wells["right"]["n"]
     except PtwellsError as exc:
         row["error"] = str(exc)
     return row
@@ -339,15 +316,16 @@ def cmd_sweep_e2(
     """
     if not e2_list:
         raise DomainError("empty E2 list")
-    for e2 in e2_list:  # before the sign test, which a nan fails too
-        _require_finite(complex(e1, e2), "energy")
+    energies = [complex(e1, e2) for e2 in e2_list]
+    for energy in energies:  # before the sign test, which a nan fails too
+        _require_finite(energy, "energy")
     if 0.0 in e2_list:
         raise DomainError("E2 = 0 is not a tunneling energy: every E2 must be nonzero")
     if not (all(e2 > 0 for e2 in e2_list) or all(e2 < 0 for e2 in e2_list)):
         raise DomainError("E2 values must all have the same sign")
     if workers is not None and workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
-    jobs = [(params.zeta, params.m_int, e1, e2, run_preset(complex(e1, e2), t_max)) for e2 in e2_list]
+    jobs = [RunConfig(params, e, "origin", MomentumBranch.PRINCIPAL, run_preset(e, t_max)) for e in energies]
     rows = list(_pool_map(_sweep_row, jobs, workers))
     if out_path:
         write_sweep_csv(rows, out_path)
@@ -441,11 +419,18 @@ def _e2_list(raw) -> list[float]:
 def main(argv: list[str] | None = None) -> int:
     parser = _Parser(prog="ptwells", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags each group of subcommands shares; built per call, since a config file's
+    # set_defaults writes into these action objects
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config", help="JSON file with flag defaults")
+    run.add_argument("--zeta", type=float)
+    run.add_argument("--M", dest="m", type=int)
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--zeta", type=float, required=True)
+    table.add_argument("--M", dest="m", type=int, required=True)
+    table.add_argument("--out")
 
-    p_sim = sub.add_parser("simulate", help="integrate one run and classify its orbit")
-    p_sim.add_argument("--config", help="JSON file with flag defaults")
-    p_sim.add_argument("--zeta", type=float)
-    p_sim.add_argument("--M", dest="m", type=int)
+    p_sim = sub.add_parser("simulate", parents=[run], help="integrate one run and classify its orbit")
     p_sim.add_argument("--e", type=str, help="complex energy, e.g. 1+1i")
     p_sim.add_argument("--start", type=str, default="origin", help="origin | well:<side>,<n> | point:<re>,<im>")
     p_sim.add_argument("--branch", choices=[b.value for b in MomentumBranch], default="principal")
@@ -454,36 +439,24 @@ def main(argv: list[str] | None = None) -> int:
     p_sim.add_argument("--summary-out", dest="summary_out")
     p_sim.add_argument("--t-max", dest="t_max", type=float, help="integration horizon (default: the preset's)")
 
-    p_sweep = sub.add_parser("sweep-e2", help="tunneling time vs imaginary energy")
-    p_sweep.add_argument("--config", help="JSON file with flag defaults")
-    p_sweep.add_argument("--zeta", type=float)
-    p_sweep.add_argument("--M", dest="m", type=int)
+    p_sweep = sub.add_parser("sweep-e2", parents=[run], help="tunneling time vs imaginary energy")
     p_sweep.add_argument("--e1", type=float, default=1.0)
     p_sweep.add_argument("--e2", help="comma-separated E2 values")
     p_sweep.add_argument("--out", help="sweep CSV path")
     p_sweep.add_argument("--workers", type=int)
     p_sweep.add_argument("--t-max", dest="t_max", type=float, help="integration horizon (default: each row's preset's)")
 
-    p_thr = sub.add_parser("threshold", help="closed-orbit boundary offset for one well")
-    p_thr.add_argument("--config", help="JSON file with flag defaults")
-    p_thr.add_argument("--zeta", type=float)
-    p_thr.add_argument("--M", dest="m", type=int)
+    p_thr = sub.add_parser("threshold", parents=[run], help="closed-orbit boundary offset for one well")
     p_thr.add_argument("--e", type=float, help="real energy")
     p_thr.add_argument("--side", choices=[s.value for s in Side], default="left")
     p_thr.add_argument("--n", type=int, default=0)
     p_thr.add_argument("--direction", type=int, choices=[1, -1], default=1)
 
-    p_wells = sub.add_parser("wells", help="well lattice table as CSV")
-    p_wells.add_argument("--zeta", type=float, required=True)
-    p_wells.add_argument("--M", dest="m", type=int, required=True)
+    p_wells = sub.add_parser("wells", parents=[table], help="well lattice table as CSV")
     p_wells.add_argument("--n-min", dest="n_min", type=int, default=-10)
     p_wells.add_argument("--n-max", dest="n_max", type=int, default=10)
-    p_wells.add_argument("--out")
 
-    p_spec = sub.add_parser("spectrum", help="solvable levels and PT phase")
-    p_spec.add_argument("--zeta", type=float, required=True)
-    p_spec.add_argument("--M", dest="m", type=int, required=True)
-    p_spec.add_argument("--out")
+    sub.add_parser("spectrum", parents=[table], help="solvable levels and PT phase")
 
     args = parser.parse_args(argv)
 
@@ -568,19 +541,13 @@ def _dispatch(args) -> int:
         params = SystemParams(args.zeta, args.m)
         if args.n_min > args.n_max:
             raise DomainError(f"n-min {args.n_min} exceeds n-max {args.n_max}")
-        if args.out:
-            with open(args.out, "w") as fh:
-                write_wells_csv(params, args.n_min, args.n_max, fh)
-        else:
-            write_wells_csv(params, args.n_min, args.n_max, sys.stdout)
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+            write_wells_csv(params, args.n_min, args.n_max, fh)
         return EXIT_OK
 
     if args.command == "spectrum":
-        if args.out:
-            with open(args.out, "w") as fh:
-                phase_line = write_spectrum_csv(args.m, args.zeta, fh)
-        else:
-            phase_line = write_spectrum_csv(args.m, args.zeta, sys.stdout)
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+            phase_line = write_spectrum_csv(args.m, args.zeta, fh)
         print(phase_line)
         return EXIT_OK
 

@@ -99,6 +99,7 @@ __all__ = [
     "weierstrass_p",
     "step_constants",
     "chart_step",
+    "step_length",
     "integrate",
 ]
 
@@ -382,6 +383,12 @@ _BLOCK_STEPS = 64  # kept steps emitted at a time, at most: up to 2048 samples
 _THETA = {n: np.arange(1, n + 1) / n for n in range(MIN_SAMPLES_PER_STEP, SAMPLES_PER_STEP + 1, MIN_SAMPLES_PER_STEP)}
 
 
+def step_length(g2: complex, g3: complex, rel_tol: float) -> float:
+    """h_max, the step length of a run on the lattice of g2, g3 at ``rel_tol`` (module docstring)."""
+    ell = max(abs(g2) ** 0.25, abs(g3) ** (1.0 / 6.0))
+    return (min(_H_MAX, _H_LATTICE / ell) if ell else _H_MAX) * min(1.0, (rel_tol / 1e-10) ** 0.125)
+
+
 def _sample_count(h: float, h_max: float) -> int:
     """The samples a step of length h emits; the last step's length may exceed its scale by a rounding."""
     return min(SAMPLES_PER_STEP, MIN_SAMPLES_PER_STEP * math.ceil(4.0 * h / h_max))
@@ -448,8 +455,7 @@ def integrate(
     w_escape = math.exp(-2.0 * config.escape_radius)  # |Re z| > escape_radius: |w| off [w_escape, 1 / w_escape]
     y0 = z0.imag
     phase, inf = cmath.phase, math.inf
-    ell = max(abs(g2) ** 0.25, abs(g3) ** (1.0 / 6.0))
-    h_max = (min(_H_MAX, _H_LATTICE / ell) if ell else _H_MAX) * min(1.0, (rtol / 1e-10) ** 0.125)
+    h_max = step_length(g2, g3, rtol)
     coeffs = laurent_coefficients(g2, g3)
     table: dict[float, list] = {}  # step length -> [its step_constants, its samples' rows (_emit)]
 

@@ -596,7 +596,10 @@ def _count_integrations(monkeypatch) -> list:
 class TestSeparatrix:
     @pytest.mark.parametrize(
         "zeta,m_int,energy",
-        [(0.1, 3, 0.8), (0.1, 3, 0.3), (0.1, 3, 2.0), (0.1, 2, 0.8), (0.3, 3, 0.8), (1.0, 4, 0.8), (0.1, 5, 1.5)],
+        [
+            (0.1, 3, 0.8), (0.1, 3, 0.3), (0.1, 3, 2.0), (0.1, 2, 0.8), (0.3, 3, 0.8), (1.0, 4, 0.8), (0.1, 5, 1.5),
+            (0.1, 1, 20.0),  # crosses at t = 0.124, beyond the reach of one Laurent step from s = 0
+        ],
     )
     def test_matches_30_digit_leaf(self, zeta, m_int, energy, mp_separatrix):
         got = separatrix_offset(SystemParams(zeta, m_int), energy)
@@ -605,6 +608,22 @@ class TestSeparatrix:
     def test_rejects_non_finite_energy(self):
         with pytest.raises(DomainError):
             separatrix_offset(P, math.nan)
+
+    @pytest.mark.parametrize("zeta,m_int,energy", [(0.1, 1, -2.0), (0.1, 3, -10.0), (0.3, 2, -5.0), (1.0, 4, -20.0)])
+    def test_leaf_that_misses_the_well_line_raises(self, zeta, m_int, energy):
+        # within one real period the leaf's |s| stays below r_w: no orbit on the well line is closed
+        params = SystemParams(zeta, m_int)
+        with pytest.raises(DomainError, match="does not reach the well line"):
+            separatrix_offset(params, energy)
+        with pytest.raises(DomainError, match="does not reach the well line"):
+            closed_orbit_boundary(WellIndex(Side.LEFT, 0), energy, params)
+
+    def test_rejects_complex_energy(self):
+        # no orbit is closed at a complex energy; the probes would report a bracket failure
+        with pytest.raises(DomainError, match="needs a real energy"):
+            separatrix_offset(P, 0.8 + 0.1j)
+        with pytest.raises(DomainError, match="needs a real energy"):
+            closed_orbit_boundary(WellIndex(Side.LEFT, 0), 0.8 + 0.1j, P)
 
     def test_step_budget_raises(self, monkeypatch):
         # Newton's method needs 4 steps from the free-flight time to the well line

@@ -94,6 +94,24 @@ class TestWellsCommand:
         assert main(["wells", "--zeta", "0.1", "--M", "3", "--n-min", "2", "--n-max", "1"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "args,phase_line",
+    [
+        (["wells", "--zeta", "0.1", "--M", "3", "--n-min", "-2", "--n-max", "2"], ""),
+        (["spectrum", "--zeta", "0.1", "--M", "3"], "phase=unbroken zeta_c=0.5\n"),
+    ],
+    ids=["wells", "spectrum"],
+)
+def test_table_bytes_are_the_same_on_stdout_and_in_out(args, phase_line, tmp_path, capsys):
+    # the table goes to stdout, or to --out; spectrum's phase line goes to stdout either way
+    assert main(args) == EXIT_OK
+    stdout = capsys.readouterr().out
+    out = tmp_path / "table.csv"
+    assert main([*args, "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == phase_line
+    assert out.read_bytes() + phase_line.encode() == stdout.encode()
+
+
 class TestSpectrumCommand:
     def test_csv_and_phase_line(self, capsys, tmp_path):
         out_path = tmp_path / "spec.csv"
@@ -367,6 +385,31 @@ class TestSweepCommand:
         assert len(rows) == 1
         assert rows[0]["tau"] is None
         assert rows[0]["error"] != ""
+
+    @pytest.mark.parametrize(
+        "e2,t_max,row",
+        [
+            (4.0, 60.0, {
+                "e2": 4.0, "tau": 3.7713887407575366, "dwell_left": 3.7711220739213047,
+                "dwell_right": 3.7716554075937685, "n_left": -2, "n_right": 3, "error": "",
+                "max_drift": 2.5243253987585826e-12, "drift_floor_rss": 9.135570086533274e-11,
+                "termination": "time_limit",
+            }),
+            (1.0, 5.0, {
+                "e2": 1.0, "tau": None, "dwell_left": None, "dwell_right": None, "n_left": None, "n_right": None,
+                "error": "no orbit class fits: termination=time_limit, crossings=0, t_end=5",
+                "max_drift": None, "drift_floor_rss": None, "termination": None,
+            }),
+        ],
+        ids=["tunneling", "no_class_fits"],
+    )
+    def test_row_of_a_run_config(self, e2, t_max, row):
+        # the rows, keys in order, that cmd_sweep_e2(SystemParams(0.1, 3), 1.0, [e2], t_max) returned
+        # when each worker rebuilt its RunConfig from a tuple
+        params, energy = SystemParams(0.1, 3), complex(1.0, e2)
+        config = cli.RunConfig(params, energy, "origin", MomentumBranch.PRINCIPAL, run_preset(energy, t_max))
+        assert list(cli._sweep_row(config).items()) == list(row.items())
+        assert list(cmd_sweep_e2(params, 1.0, [e2], t_max=t_max, workers=1)[0].items()) == list(row.items())
 
     def test_each_row_gets_its_own_horizon(self, monkeypatch):
         # each row runs the preset of its own energy; --t-max replaces its horizon only
@@ -688,6 +731,15 @@ class TestThresholdCommand:
         assert (out["closed_offset"], out["open_offset"]) == (sep - 0.5 * BOUNDARY_WIDTH, sep + 0.5 * BOUNDARY_WIDTH)
         assert 0.45 <= sep <= 0.6
         assert out["n_probes"] == 2
+
+    def test_boundary_beyond_the_series_radius(self, capsys):
+        # the leaf meets the well line at t = 0.124, past the reach of one Laurent step from s = 0
+        assert main(["threshold", "--zeta", "0.1", "--M", "1", "--e", "20"]) == EXIT_OK
+        assert abs(json.loads(capsys.readouterr().out)["critical_offset"] - 0.69536552976346343197) <= 1e-12
+
+    def test_no_boundary_on_the_well_line_is_a_config_error(self, capsys):
+        assert main(["threshold", "--zeta", "0.1", "--M", "3", "--e", "-10"]) == EXIT_USAGE
+        assert "config error: the separatrix leaf does not reach the well line" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command,flags",
