@@ -77,10 +77,6 @@ CELL_EXIT_SPAN = 0.5 * math.pi
 # E2 * tau stays near 16); tunneling horizons default to 40 expected taus.
 TAU_SCALE = 16.0
 
-# The escape radius at complex energy.  The whips of the 27 table rows, the
-# eight well-pair map runs and the E = 1 - i figure reach |Re z| = 6.955 at most.
-TUNNELING_ESCAPE_RADIUS = 12.0
-
 # Distance in (z, p), as a 4-real-vector, within which a real-energy run is back at its start
 # after one real period: a closed orbit to rounding (9.4e-15 on the closed figure), an open one i pi off.
 RETURN_TOL = 1e-8
@@ -96,13 +92,12 @@ def run_preset(energy: complex, t_max: float | None = None) -> IntegratorConfig:
     """The integrator config of every run at ``energy``: ``IntegratorConfig``'s guards,
     to ``t_max`` when given, else to ``default_t_max(energy)``.  At real energy a run
     also escapes when it leaves its start's lattice cell (an open orbit there runs down
-    the well column with Re z bounded); at complex energy the escape radius is
-    ``TUNNELING_ESCAPE_RADIUS``.
+    the well column with Re z bounded).
     """
     t_max = default_t_max(energy) if t_max is None else t_max
     if energy.imag == 0:
         return IntegratorConfig(t_max=t_max, escape_y_span=CELL_EXIT_SPAN)
-    return IntegratorConfig(t_max=t_max, escape_radius=TUNNELING_ESCAPE_RADIUS)
+    return IntegratorConfig(t_max=t_max)
 
 
 class CrossingDirection(enum.Enum):
@@ -474,8 +469,8 @@ def closed_orbit_boundary(
     lower must end closed: at t = omega_R (``TIME_LIMIT``), back within
     ``RETURN_TOL`` of its start.  The upper must end open, leaving its cell
     (``ESCAPED``: Im z moves pi/2, on its first whip down the well column).
-    Otherwise a BracketingError reports both; a probe that ends by drift or step
-    budget raises AmbiguousOrbitError.
+    Otherwise, a probe stopped by its drift or step guard included, a
+    BracketingError reports how both ended.
     """
     if direction not in (-1, 1):
         raise DomainError(f"direction must be +1 or -1, got {direction!r}")
@@ -487,13 +482,7 @@ def closed_orbit_boundary(
     for offset in (lo, hi):
         z0 = complex(center.real, center.imag + direction * offset)
         p0 = initial_momentum(z0, complex(energy_real), MomentumBranch.PRINCIPAL, params)
-        traj = integrate(z0, p0, config, params)
-        if traj.termination in (Termination.DRIFT_EXCEEDED, Termination.STEP_LIMIT):
-            raise AmbiguousOrbitError(
-                f"probe at offset {offset!r} ended by {traj.termination.value} "
-                f"at t={float(traj.t[-1])!r}, kept drift up to {traj.max_drift!r}"
-            )
-        runs.append(traj)
+        runs.append(integrate(z0, p0, config, params))
     lower, upper = runs
     miss = _return_miss(lower, lower.z[-1], lower.p[-1])
     returned = lower.termination is Termination.TIME_LIMIT and miss <= RETURN_TOL

@@ -46,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
-    TUNNELING_ESCAPE_RADIUS,
     CrossingEvent,
     OrbitClass,
     OrbitKind,
@@ -84,7 +83,8 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_AMBIGUOUS = 3
 
-TUNNELING_DRIFT_LIMIT = IntegratorConfig.energy_drift_limit  # read by the benchmark, as is TUNNELING_ESCAPE_RADIUS
+TUNNELING_DRIFT_LIMIT = IntegratorConfig.energy_drift_limit  # read by the benchmark
+TUNNELING_ESCAPE_RADIUS = IntegratorConfig.escape_radius  # read by the benchmark
 
 
 def parse_complex(text: str) -> complex:

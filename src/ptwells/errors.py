@@ -34,5 +34,5 @@ class DegenerateWindingError(PtwellsError, ValueError):
 
 
 class BracketingError(PtwellsError, RuntimeError):
-    """Boundary probes disagree with the separatrix: the probe below it
-    escaped, or the probe above it did not."""
+    """Boundary probes disagree with the separatrix: the probe below it did not return
+    to its start at one period, or the probe above it did not escape (a guard stop does neither)."""

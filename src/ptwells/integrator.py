@@ -138,8 +138,8 @@ class IntegratorConfig:
     ``energy_drift_limit`` (``Termination.DRIFT_EXCEEDED``), or where |Re z|
     exceeds ``escape_radius`` or |Im z - Im z0| exceeds ``escape_y_span``
     (``Termination.ESCAPED``).  The defaults are the guards of every run the
-    package makes; ``analysis.run_preset`` sets only the horizon and the escape
-    bounds by energy.
+    package makes; ``analysis.run_preset`` sets only the horizon, and at real
+    energy the exit from the start's lattice cell.
     """
 
     rel_tol: float = 1e-10

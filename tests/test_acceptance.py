@@ -113,10 +113,11 @@ ARBITRATION = pathlib.Path(__file__).parent / "data" / "arbitration.json"
 # walk's largest excursion passes 4 sigma with probability at most
 # 2 P(|N(0,1)| > 4) ~ 1.3e-4 per trajectory, and evaluating H at a sample
 # adds at most about one F, with F <= R.  Hence K = 4/sqrt(12) + 1 ~ 2.15.
-# The control, a run at rel_tol 1e-5, must exceed its allowance: a step error
-# that a loose tolerance lets through is not hidden under R.  It is the tightest
-# decade that does so clearly: on the closed figure to t = 40 the peak drift is
-# 2.0e-7 at 1e-5, 20x its allowance, but 9.5e-9 at 1e-6, under it.
+# The control must exceed its allowance: a step error is not hidden under R.  It
+# is the closed figure's start run to t = 40 at the default rel_tol and drift
+# limit 1.0, with the Weierstrass values P and P' of each step scaled by
+# 1 + 1e-5.  It ends time_limit with peak drift 0.255 and R = 8.5e-11, 2.5e7
+# times its allowance.
 DRIFT_FLOOR_FACTOR = 4.0 / math.sqrt(12.0) + 1.0
 
 

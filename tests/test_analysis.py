@@ -545,16 +545,15 @@ class TestBoundary:
         with pytest.raises(DomainError):
             closed_orbit_boundary(WellIndex(Side.LEFT, 0), 0.8, P, direction=2)
 
-    def test_probe_ending_by_drift_raises_at_once(self, monkeypatch):
+    def test_probe_ending_by_drift_fails_the_bracket(self, monkeypatch):
         calls = _count_integrations(monkeypatch)
         preset = analysis.run_preset
         monkeypatch.setattr(analysis, "run_preset", lambda *args: replace(preset(*args), energy_drift_limit=1e-13))
-        with pytest.raises(AmbiguousOrbitError) as exc_info:
+        with pytest.raises(BracketingError) as exc_info:
             closed_orbit_boundary(WellIndex(Side.LEFT, 0), 0.8, P)
-        msg = str(exc_info.value)
         lower = separatrix_offset(P, 0.8) - 0.5 * BOUNDARY_WIDTH
-        assert f"offset {lower!r} " in msg and "drift_exceeded" in msg
-        assert len(calls) == 1
+        assert f"offset {lower!r} ended by drift_exceeded" in str(exc_info.value)
+        assert len(calls) == 2
 
     def test_wrong_probe_class_raises(self, monkeypatch):
         # a cell this narrow lets the closed probe escape too
@@ -626,7 +625,7 @@ class TestSeparatrix:
             closed_orbit_boundary(WellIndex(Side.LEFT, 0), 0.8 + 0.1j, P)
 
     def test_step_budget_raises(self, monkeypatch):
-        # Newton's method needs 4 steps from the free-flight time to the well line
+        # Newton's method needs 4 steps from the linear guess inside the crossing step to the well line
         monkeypatch.setattr(analysis, "_LEAF_NEWTON", 3)
         with pytest.raises(AmbiguousOrbitError, match="within 3 Newton steps"):
             separatrix_offset(P, 0.8)

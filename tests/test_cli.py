@@ -192,6 +192,27 @@ class TestSimulateCommand:
         assert main(args) == EXIT_NUMERICAL
         assert "numerical failure: state overflow" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "y,code",
+        [("-0.2556060188339804", EXIT_OK), ("-0.2556040188339804", EXIT_NUMERICAL)],
+        ids=["3e-6_below_closed", "1e-6_below_drift_stop"],
+    )
+    def test_guard_stop_is_a_numerical_failure(self, y, code, capsys):
+        # two starts above left well 0, 3e-6 and 1e-6 below the separatrix: the first
+        # comes back closed at one period; the deeper whip of the second exceeds the
+        # drift limit before any orbit class emerges
+        args = ["simulate", "--zeta", "0.1", "--M", "3", "--e", "0.8",
+                "--start", f"point:-2.047311112165265,{y}", "--t-max", "2"]
+        assert main(args) == code
+        out, err = capsys.readouterr()
+        if code == EXIT_OK:
+            classification = json.loads(out)["classification"]
+            assert classification["kind"] == "closed" and classification["period"] == 0.5481629113898281
+        else:
+            assert err.strip() == (
+                "numerical failure: run ended by drift_exceeded at t=0.462336 before any orbit class emerged"
+            )
+
     def test_open_start_escapes(self, capsys):
         # a real-energy open orbit keeps Re z bounded on its way down the well
         # column; it ends by leaving its start's cell
